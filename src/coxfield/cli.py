@@ -4,7 +4,8 @@ Each subcommand reads JSON inputs, writes its primary output files plus a
 run manifest into --out, and returns 0 on success, 1 when the math
 rejects the input or a verification fails, and 2 on malformed input.
 Primary outputs are deterministic given the same inputs and seed; the
-manifest additionally records wall-clock time and the tool version.
+manifest additionally records wall-clock time, the tool version and, for
+``fixed-point``, the solver's work counts under "stats".
 """
 
 import argparse
@@ -13,10 +14,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from itertools import combinations_with_replacement
 
 import numpy as np
 
+from . import __version__
 from .dist import (
     SchemaError,
     MomentTriple,
@@ -59,8 +62,6 @@ from .order import (
 )
 from .sim import SimConfig, compare_to_fixed_point, replicate
 
-VERSION = "0.1.0"
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -98,7 +99,7 @@ def _write_manifest(args, inputs, outputs, started, error=None):
     manifest = {
         "command": args.command,
         "argv": list(args.raw_argv),
-        "tool_version": VERSION,
+        "tool_version": __version__,
         "seed": args.seed,
         "tol": args.tol,
         "out_dir": os.path.abspath(args.out),
@@ -106,6 +107,8 @@ def _write_manifest(args, inputs, outputs, started, error=None):
         "outputs": sorted(outputs),
         "wall_clock_s": round(time.monotonic() - started, 6),
     }
+    if args.stats is not None:
+        manifest["stats"] = args.stats
     if error is not None:
         manifest["error"] = error
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
@@ -169,6 +172,7 @@ def _cmd_fit(args):
 def _cmd_fixed_point(args):
     model = model_from_dict(_load_json(args.model))
     result = fixed_point(model, residual_tol=args.tol or 1e-12)
+    args.stats = asdict(result.stats)
     structure = fixed_point_structure_residual(result.pi, model.service)
     out = {
         "pi": state_to_dict(result.pi),
@@ -423,7 +427,7 @@ def _build_parser():
         prog="coxfield",
         description="mean-field models of load balancing with Coxian job sizes",
     )
-    parser.add_argument("--version", action="version", version=VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -482,6 +486,7 @@ def main(argv=None):
     raw = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(raw)
     args.raw_argv = raw
+    args.stats = None
     if args.command == "verify":
         if args.count is None:
             args.count = _SUITE_COUNTS[args.suite]

@@ -22,14 +22,19 @@ suffers when the two tail values nearly coincide.
 
 Integration is classic fixed-step RK4 (drifts are smooth polynomials in
 h; determinism matters more than adaptivity here).  Fixed points are
-found by integrating from the empty state until the drift is small, then
-polishing with a damped Newton iteration on the full (B n)-dimensional
-drift using a one-shot batched finite-difference Jacobian.
+found by pseudo-transient continuation from the empty state: backward-
+Euler steps (I/tau - J) delta = f(h) on the full (B n)-dimensional drift,
+with J a one-shot batched finite-difference Jacobian and the pseudo-time
+step tau growing as the drift falls, until the step is plain Newton.
+The fixed point is unique and attracts every valid state, so a valid
+state with zero drift is it; iterates that leave the state space are
+rejected with a smaller tau rather than clipped.
 """
 
 import math
+import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -56,7 +61,7 @@ from .order import (
 
 POLICY_KINDS = ("jsq", "pullpush", "batchjsq")
 
-#: sup-norm drift threshold switching from integration to Newton
+#: sup-norm drift at or below which continuation steps become plain Newton
 PRE_NEWTON_DRIFT = 1e-8
 
 #: residual required of a polished fixed point
@@ -127,8 +132,10 @@ class PolicyModel:
             if self.lam >= 1:
                 warnings.warn(f"jsq with lam={self.lam} is unstable", stacklevel=2)
         elif self.kind == "pullpush":
-            if self.r is None or self.r < 0:
-                raise ValueError(f"pullpush needs probe rate r >= 0, got {self.r!r}")
+            if self.r is None or not (math.isfinite(self.r) and self.r >= 0):
+                raise ValueError(
+                    f"pullpush needs a finite probe rate r >= 0, got {self.r!r}"
+                )
             if self.lam >= 1:
                 warnings.warn(f"pullpush with lam={self.lam} is unstable", stacklevel=2)
         else:
@@ -171,25 +178,42 @@ def model_to_dict(model: PolicyModel) -> dict:
     return out
 
 
+def _number_field(data: dict, key: str, integer: bool = False):
+    """A JSON number (None when absent); integer fields come back as int."""
+    value = data.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"model field {key!r} must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise SchemaError(f"model field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def model_from_dict(data: dict) -> PolicyModel:
-    """Build a model from its JSON dict; hyperexp services are converted."""
+    """Build a model from its JSON dict; hyperexp services are converted.
+
+    Integer-valued ``B``, ``d`` and ``K`` (such as 2.0) are taken as ints;
+    other non-integers and non-numbers raise SchemaError.
+    """
     if not isinstance(data, dict):
         raise SchemaError(f"model must be a JSON object, got {type(data).__name__}")
     for key in ("policy", "lambda", "service"):
-        if key not in data:
+        if data.get(key) is None:
             raise SchemaError(f"model is missing required key {key!r}")
     service = distribution_from_dict(data["service"])
     if not isinstance(service, CoxianDistribution):
         service = hyperexp_to_coxian(service)
-    B = data.get("B")
     return PolicyModel(
         kind=data["policy"],
-        lam=float(data["lambda"]),
+        lam=_number_field(data, "lambda"),
         service=service,
-        B=None if B is None else int(B),
-        d=data.get("d"),
-        K=data.get("K"),
-        r=data.get("r"),
+        B=_number_field(data, "B", integer=True),
+        d=_number_field(data, "d", integer=True),
+        K=_number_field(data, "K", integer=True),
+        r=_number_field(data, "r"),
     )
 
 
@@ -492,11 +516,30 @@ def _require_valid(h, t):
 
 
 @dataclass(frozen=True)
+class SolverStats:
+    """Where a fixed-point solve spent its work.
+
+    ``drift_calls`` counts drift evaluations, a batched Jacobian build
+    counting as one.  ``accepted_steps`` and ``rejected_steps`` count
+    continuation steps; a step is rejected when its iterate leaves the
+    state space.  With automatic buffer growth the counts add up over
+    every buffer tried.  ``wall_s`` is the wall time of the whole solve.
+    """
+
+    drift_calls: int
+    accepted_steps: int
+    rejected_steps: int
+    buffers_tried: int
+    wall_s: float
+
+
+@dataclass(frozen=True)
 class FixedPointResult:
     pi: MeanFieldState
     residual: float
     newton_steps: int
     history: tuple
+    stats: SolverStats = field(compare=False)
 
     @property
     def B(self) -> int:
@@ -505,86 +548,121 @@ class FixedPointResult:
 
 _AUTO_BUFFERS = (16, 32, 64, 128, 256, 512)
 
+#: first pseudo-time step of the continuation
+_TAU_START = 1.0
+
+#: pseudo-time step below which the continuation gives up
+_TAU_FLOOR = 1e-9
+
+#: state-space tolerance a trial iterate must meet to be accepted
+_ITERATE_TOL = 1e-8
+
+_FD_EPS = 1e-7
+
 
 def fixed_point(
     model: PolicyModel,
     drift_tol: float = PRE_NEWTON_DRIFT,
     residual_tol: float = FIXED_POINT_RESIDUAL,
-    t_max: float = 3000.0,
-    newton_max: int = 40,
+    newton_max: int = 200,
 ) -> FixedPointResult:
-    """Locate the fixed point: integrate from empty, then damped Newton.
+    """Locate the fixed point by pseudo-transient continuation from empty.
 
-    With ``B=None`` the buffer doubles from 16 until the fixed point's
-    top-level tail mass drops below 1e-10, emulating an infinite buffer.
-    Raises FixedPointError (with residual history) on non-convergence,
-    which in practice flags loads at the edge of stability.
+    Each step solves (I/tau - J) delta = f(h) and moves to h + delta: a
+    backward-Euler step of pseudo-time tau along the ODE, with J the
+    one-shot batched finite-difference Jacobian at h.  tau grows by
+    switched evolution relaxation, tau <- tau |f_old| / |f_new| (sup
+    norms).  Once the sup drift is at most ``drift_tol`` the 1/tau shift
+    is dropped and the steps are plain Newton.  A trial iterate outside
+    the state space (tolerance 1e-8) is rejected and tau divided by 4, so
+    small steps follow the flow, which attracts every valid state to the
+    unique fixed point.  Iterates are never clipped.
+
+    ``newton_max`` bounds the steps taken, accepted or rejected.  Stable
+    loads take about 7 to 25; in an overloaded model the drift stalls
+    while the queues fill level by level, at one to two steps a level.  The
+    returned pi has residual at most ``residual_tol`` and passes
+    ``state_space_report`` at its default tolerance.  With ``B=None`` the
+    buffer doubles from 16, each size solved from empty, until the top
+    level's tail mass drops below 1e-10, emulating an infinite buffer.
+    Raises FixedPointError (with the residual history) when tau falls
+    below 1e-9 or the steps run out, which in practice flags loads at
+    the edge of stability.
     """
+    started = time.perf_counter()
     if model.B is None:
-        for B in _AUTO_BUFFERS:
+        calls = accepted = rejected = 0
+        for tried, B in enumerate(_AUTO_BUFFERS, 1):
             result = fixed_point(
-                model.with_buffer(B), drift_tol, residual_tol, t_max, newton_max
+                model.with_buffer(B), drift_tol, residual_tol, newton_max
             )
+            calls += result.stats.drift_calls
+            accepted += result.stats.accepted_steps
+            rejected += result.stats.rejected_steps
             if result.pi.h[-1, 0] < TAIL_MASS_TOL:
-                return result
+                wall = time.perf_counter() - started
+                stats = SolverStats(calls, accepted, rejected, tried, wall)
+                return replace(result, stats=stats)
         raise FixedPointError(
             f"tail mass still above {TAIL_MASS_TOL} at B={_AUTO_BUFFERS[-1]}"
         )
 
     B, n = model.B, model.n
-    h = zero_state(B, n).h
-    dt = step_bound(model) / 2.0
-    chunk = 25.0
-    steps = int(math.ceil(chunk / dt))
-    elapsed = 0.0
-    sup = float(np.max(np.abs(drift(model, h))))
-    while sup > drift_tol and elapsed < t_max:
-        h = _rk4(model, h, chunk / steps, steps)
-        elapsed += chunk
-        sup = float(np.max(np.abs(drift(model, h))))
-
-    history = [sup]
-    fval = drift(model, h)
     size = B * n
-    eye = np.eye(size).reshape(size, B, n)
-    newton_steps = 0
-    eps = 1e-7
-    while float(np.max(np.abs(fval))) > residual_tol:
-        if newton_steps >= newton_max:
+    eye = np.eye(size)
+    h = zero_state(B, n).h
+    fval = drift(model, h)
+    sup = float(np.max(np.abs(fval)))
+    history = [sup]
+    calls, accepted, rejected = 1, 0, 0
+    tau = _TAU_START
+    jac = None
+    retry = False
+    while sup > residual_tol:
+        if accepted + rejected >= newton_max:
             raise FixedPointError(
-                f"no convergence in {newton_max} Newton steps "
-                f"(residual {history[-1]:.3e}); model may be near instability",
+                f"no convergence in {newton_max} continuation steps "
+                f"(residual {sup:.3e}); model may be near instability",
                 history,
             )
-        jac = (drift(model, h[None] + eps * eye) - fval).reshape(size, size) / eps
+        if jac is None:
+            probe = h[None] + _FD_EPS * eye.reshape(size, B, n)
+            jac = (drift(model, probe) - fval).reshape(size, size).T / _FD_EPS
+            calls += 1
+        shift = 0.0 if sup <= drift_tol and not retry else 1.0 / tau
         try:
-            delta = np.linalg.solve(jac.T, -fval.ravel()).reshape(B, n)
+            step = np.linalg.solve(shift * eye - jac, fval.ravel())
         except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jac.T, -fval.ravel(), rcond=None)[0].reshape(B, n)
-        base = float(np.max(np.abs(fval)))
-        alpha = 1.0
-        while True:
-            trial = np.clip(h + alpha * delta, 0.0, 1.0)
-            trial_f = drift(model, trial)
-            trial_sup = float(np.max(np.abs(trial_f)))
-            if trial_sup < base or trial_sup <= residual_tol:
-                h, fval = trial, trial_f
-                break
-            alpha /= 2.0
-            if alpha < 1e-6:
+            step = np.full(size, np.nan)
+        trial = h + step.reshape(B, n)
+        if not (
+            np.isfinite(trial).all() and state_space_report(trial, tol=_ITERATE_TOL).ok
+        ):
+            rejected += 1
+            retry = True
+            tau /= 4.0
+            if tau < _TAU_FLOOR:
                 raise FixedPointError(
-                    f"Newton damping stalled at residual {base:.3e}", history
+                    f"continuation step fell below {_TAU_FLOOR:g} "
+                    f"at residual {sup:.3e}",
+                    history,
                 )
-        newton_steps += 1
-        history.append(trial_sup)
+            continue
+        trial_f = drift(model, trial)
+        calls += 1
+        trial_sup = float(np.max(np.abs(trial_f)))
+        tau *= sup / max(trial_sup, np.finfo(float).tiny)
+        h, fval, sup = trial, trial_f, trial_sup
+        jac = None
+        retry = False
+        accepted += 1
+        history.append(sup)
 
-    report = state_space_report(h, tol=1e-8)
+    report = state_space_report(h)
     if not report.ok:
-        raise FixedPointError(
-            f"solver state violates {report.violations[0]}", history
-        )
-    residual = float(np.max(np.abs(fval)))
-    return FixedPointResult(MeanFieldState(h), residual, newton_steps, tuple(history))
+        raise FixedPointError(f"solver state violates {report.violations[0]}", history)
+    stats = SolverStats(calls, accepted, rejected, 1, time.perf_counter() - started)
+    return FixedPointResult(MeanFieldState(h), sup, accepted, tuple(history), stats)
 
 
 @dataclass(frozen=True)

@@ -290,19 +290,32 @@ def _worker(args):
     return _run_replication(config, seed)
 
 
+def _thread_cap() -> int:
+    """COXFIELD_THREADS as a positive int; machine parallelism when unset."""
+    cap = os.environ.get("COXFIELD_THREADS")
+    if not cap:
+        return os.cpu_count() or 1
+    try:
+        workers = int(cap)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"COXFIELD_THREADS must be a positive integer, got {cap!r}")
+    return workers
+
+
 def replicate(config: SimConfig) -> StationaryEstimate:
     """Run config.replications independent chains and pool them.
 
     Seeds are seed+0..seed+R-1; the pooled mean and t-based 95%
     half-widths depend only on (config, seed), not on scheduling.
     Parallel workers are capped by the COXFIELD_THREADS environment
-    variable (default: machine parallelism).
+    variable (default: machine parallelism); a value that is not a
+    positive integer raises ValueError.
     """
     R = config.replications
     seeds = [config.seed + r for r in range(R)]
-    cap = os.environ.get("COXFIELD_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    workers = max(1, min(workers, R))
+    workers = max(1, min(_thread_cap(), R))
     if workers == 1:
         results = [_run_replication(config, s) for s in seeds]
     else:

@@ -106,6 +106,45 @@ def test_fixed_point_output(tmp_path):
     assert (tmp_path / "fixed_point.json").read_bytes() == first
 
 
+def test_fixed_point_manifest_stats(tmp_path):
+    src = model_file(tmp_path)
+    assert main(["fixed-point", src, "--out", str(tmp_path)]) == 0
+    out = load(tmp_path, "fixed_point.json")
+    stats = load(tmp_path, "manifest.json")["stats"]
+    assert "stats" not in out
+    assert set(stats) == {"drift_calls", "accepted_steps", "rejected_steps",
+                          "buffers_tried", "wall_s"}
+    assert stats["accepted_steps"] == out["newton_steps"] >= 1
+    assert stats["drift_calls"] == 1 + 2 * stats["accepted_steps"]
+    assert stats["buffers_tried"] == 1 and stats["wall_s"] > 0
+
+
+def test_model_numbers_exit_codes(tmp_path, monkeypatch):
+    # malformed numbers exit 2, rejected values exit 1; none raise
+    cases = [({"d": 2.5}, 2), ({"B": 2.5}, 2), ({"d": "2"}, 2), ({"B": True}, 2),
+             ({"lambda": "x"}, 2), ({"lambda": float("nan")}, 1),
+             ({"policy": "pullpush", "r": float("nan")}, 1),
+             ({"policy": "pullpush", "r": float("inf")}, 1)]
+    for overrides, code in cases:
+        src = model_file(tmp_path, **overrides)
+        assert main(["fixed-point", src, "--out", str(tmp_path)]) == code, overrides
+        assert load(tmp_path, "manifest.json")["error"]
+    # an integer-valued float is an integer
+    src = model_file(tmp_path, d=2.0, B=6.0)
+    assert main(["fixed-point", src, "--out", str(tmp_path / "float")]) == 0
+    assert main(["fixed-point", model_file(tmp_path), "--out", str(tmp_path / "int")]) == 0
+    assert ((tmp_path / "float" / "fixed_point.json").read_bytes()
+            == (tmp_path / "int" / "fixed_point.json").read_bytes())
+    config = {"model": {"policy": "jsq", "lambda": 0.6, "d": 2.0, "B": 4, "service": HYPER},
+              "N": 5, "horizon": 5.0, "warmup": 1.0}
+    sim = write(tmp_path / "sim.json", config)
+    monkeypatch.setenv("COXFIELD_THREADS", "abc")
+    assert main(["simulate", sim, "--out", str(tmp_path)]) == 1
+    assert "COXFIELD_THREADS" in load(tmp_path, "manifest.json")["error"]
+    monkeypatch.setenv("COXFIELD_THREADS", "1")
+    assert main(["simulate", sim, "--out", str(tmp_path)]) == 0
+
+
 def test_integrate_csv(tmp_path):
     src = model_file(tmp_path, B=4)
     args = ["integrate", src, "--t-final", "5", "--samples", "4", "--out", str(tmp_path)]

@@ -218,6 +218,23 @@ def test_model_validation(balanced_service):
         # unit mean but nu = (0.2, 1.8) increasing
         increasing = cf.CoxianDistribution((2.0, 1.8), (0.9, 0.0))
         cf.PolicyModel(kind="jsq", lam=0.5, service=increasing, d=2)
+    for r in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="probe rate"):
+            cf.PolicyModel(kind="pullpush", lam=0.5, service=balanced_service, r=r)
+
+
+def test_model_from_dict_numbers(balanced_service):
+    base = cf.model_to_dict(
+        cf.PolicyModel(kind="batchjsq", lam=0.3, service=balanced_service, B=9, d=3, K=2)
+    )
+    model = cf.model_from_dict(dict(base, B=9.0, d=3.0, K=2.0))
+    assert (model.B, model.d, model.K) == (9, 3, 2)
+    assert all(type(v) is int for v in (model.B, model.d, model.K))
+    for key, value in (("B", 2.5), ("d", 2.5), ("K", 1.5), ("d", "3"), ("K", True),
+                       ("B", math.inf), ("d", math.nan), ("lambda", "0.3"),
+                       ("lambda", None), ("r", "1")):
+        with pytest.raises(SchemaError):
+            cf.model_from_dict(dict(base, **{key: value}))
 
 
 def test_model_warns_when_unstable(balanced_service):
@@ -326,6 +343,48 @@ def test_fixed_point_auto_buffer(balanced_service):
     fp = cf.fixed_point(model)
     assert fp.pi.h[-1, 0] < 1e-10
     assert fp.residual <= 1e-12
+
+
+def test_fixed_point_stats_count_drift_calls(balanced_service, monkeypatch):
+    from coxfield import mfode
+
+    calls = []
+    monkeypatch.setattr(mfode, "drift", lambda m, h: calls.append(1) or drift(m, h))
+    model = cf.PolicyModel(kind="pullpush", lam=0.5, r=1.0, service=balanced_service, B=10)
+    fp = cf.fixed_point(model)
+    stats = fp.stats
+    assert stats.drift_calls == len(calls) == 1 + 2 * stats.accepted_steps
+    assert stats.accepted_steps == fp.newton_steps == len(fp.history) - 1
+    assert stats.rejected_steps == 0 and stats.buffers_tried == 1
+    assert stats.wall_s > 0
+
+
+def test_fixed_point_auto_buffer_doubles(balanced_service):
+    # the single-choice queue has a geometric tail: 16 -> 32 -> 64 -> 128
+    model = cf.PolicyModel(kind="pullpush", lam=0.7, r=0.0, service=balanced_service)
+    fp = cf.fixed_point(model)
+    assert fp.B == 128 and fp.stats.buffers_tried == 4
+    assert fp.pi.h[-1, 0] < 1e-10
+    direct = cf.fixed_point(model.with_buffer(128))
+    assert np.abs(fp.pi.h - direct.pi.h).max() <= 1e-12
+    assert fp.stats.drift_calls > direct.stats.drift_calls
+
+
+def test_fixed_point_rejects_invalid_iterates(balanced_service):
+    with pytest.warns(UserWarning, match="unstable"):
+        model = cf.PolicyModel(kind="jsq", lam=1.2, service=balanced_service, B=20, d=2)
+    fp = cf.fixed_point(model)
+    assert fp.stats.rejected_steps >= 1
+    assert fp.residual <= 1e-12
+    assert np.abs(drift(model, fp.pi.h)).max() <= 1e-12
+    assert cf.state_space_report(fp.pi).ok
+
+
+def test_fixed_point_step_limit(balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=10, d=2)
+    with pytest.raises(cf.FixedPointError, match="continuation steps") as info:
+        cf.fixed_point(model, newton_max=1)
+    assert len(info.value.history) >= 1
 
 
 def test_structure_residual(balanced_service, rng):

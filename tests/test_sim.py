@@ -100,6 +100,15 @@ def test_worker_pool_matches_serial(balanced_service, monkeypatch):
     assert np.array_equal(serial.half_width, pooled.half_width)
 
 
+def test_thread_cap_must_be_positive_integer(balanced_service, monkeypatch):
+    model = cf.PolicyModel(kind="jsq", lam=0.6, service=balanced_service, B=5, d=2)
+    config = cf.SimConfig(model=model, N=5, horizon=5.0, seed=6, warmup=1.0)
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("COXFIELD_THREADS", bad)
+        with pytest.raises(ValueError, match="COXFIELD_THREADS"):
+            cf.replicate(config)
+
+
 def test_one_server_cluster_runs(balanced_service):
     # probes have no peer to pull from when N=1
     model = cf.PolicyModel(kind="pullpush", lam=0.5, r=2.0, service=balanced_service, B=4)
