@@ -10,12 +10,13 @@ decrease along phases (the class that behaves like hyperexponentials in
 the mean-field results), computes moments and hazard rates, and fits a
 two-branch hyperexponential to a moment triple.
 
-Survival, density and hazard are evaluated by integrating the phase-mass
-ODE a'(t) = a(t) S with a classic fourth-order fixed-step scheme rather
-than a series-based matrix exponential: n is small and, crucially, both
-representations of the same distribution are pushed through the same
-discretization, so representation-equivalence checks compare algebra, not
-integrator truncation.
+Survival, density and hazard come from the phase mass a(t) = alpha
+expm(S t), with alpha the initial phase law and S the upper-bidiagonal
+phase generator.  It is propagated exactly between sorted evaluation
+times by matrix exponentials of S times each gap (scipy's scaling and
+squaring, Al-Mohy & Higham 2009), so there is no step size to choose and
+no truncation error to bound; survival is the total mass and density the
+completion flow a(t) nu.
 """
 
 import math
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from scipy import linalg
 
 #: relative gap under which two rates are considered duplicates (rejected
 #: where the partial-fraction algebra needs distinct rates)
@@ -34,9 +36,6 @@ BOUNDARY_TOL = 1e-12
 
 #: survival values below this are too small for a trustworthy hazard ratio
 SURVIVAL_FLOOR = 1e-14
-
-#: hard cap on the survival-ODE step; tightened to 0.05/mu_max for stiff rates
-MAX_SURVIVAL_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -489,46 +488,18 @@ def telescoping_rate_sum(k: int, l: int, rates: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# survival / density / hazard via the phase-mass ODE
+# survival / density / hazard by exact phase-mass propagation
 # ---------------------------------------------------------------------------
-
-
-def _survival_step(dist: Distribution) -> float:
-    return min(MAX_SURVIVAL_STEP, 0.05 / max(dist.rates))
-
-
-def _rk4_phase_segment(mass, rates, pm, span, max_step):
-    """Advance batched phase mass over one time span in lockstep.
-
-    mass, rates, pm are (M, n); pm holds p_i * mu_i.  The step divides the
-    span exactly and never exceeds max_step.
-    """
-    if span <= 0.0:
-        return mass
-    steps = max(1, math.ceil(span / max_step))
-    h = span / steps
-
-    def action(a):
-        b = -a * rates
-        b[:, 1:] += a[:, :-1] * pm[:, :-1]
-        return b
-
-    for _ in range(steps):
-        k1 = action(mass)
-        k2 = action(mass + 0.5 * h * k1)
-        k3 = action(mass + 0.5 * h * k2)
-        k4 = action(mass + h * k3)
-        mass = mass + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return mass
 
 
 def _phase_grid_many(dists: Sequence[Distribution], ts: np.ndarray):
     """Survival and density for many distributions on a shared sorted grid.
 
-    Returns (survival, density), each of shape (len(dists), len(ts)).
-    Distributions are grouped by phase count and step bucket so members of
-    a group integrate in lockstep with a common step below each member's
-    own bound.
+    Returns (survival, density), each of shape (len(dists), len(ts)).  The
+    phase mass a(t) = alpha expm(S t) moves from one grid point to the next
+    by the exact propagator expm(S gap).  Distributions are grouped by phase
+    count, and one batched ``expm`` per group covers every member and every
+    distinct gap; a repeated time has gap 0 and the identity propagator.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
@@ -538,28 +509,25 @@ def _phase_grid_many(dists: Sequence[Distribution], ts: np.ndarray):
     m = len(dists)
     surv = np.empty((m, len(ts)))
     dens = np.empty((m, len(ts)))
+    gaps, gap_index = np.unique(np.diff(ts, prepend=0.0), return_inverse=True)
 
     groups = {}
     for idx, d in enumerate(dists):
-        step = _survival_step(d)
-        key = (len(d.rates), math.ceil(math.log2(1.0 / step)))
-        groups.setdefault(key, []).append(idx)
+        groups.setdefault(len(d.rates), []).append(idx)
 
-    for (n, exponent), members in groups.items():
-        step = 2.0 ** (-exponent)
-        alpha = np.empty((len(members), n))
-        rates = np.empty((len(members), n))
-        conts = np.empty((len(members), n))
-        for row, idx in enumerate(members):
-            alpha[row], rates[row], conts[row] = _phase_form(dists[idx])
-        pm = conts * rates
+    for n, members in groups.items():
+        forms = [_phase_form(dists[i]) for i in members]
+        alpha, rates, conts = (np.stack(part) for part in zip(*forms))
+        gen = np.zeros((len(members), n, n))
+        diag = np.arange(n)
+        gen[:, diag, diag] = -rates
+        gen[:, diag[:-1], diag[1:]] = (rates * conts)[:, :-1]
+        steps = linalg.expm(gen[:, None] * gaps[:, None, None])
         nu = rates * (1.0 - conts)
         mass = alpha
-        prev_t = 0.0
         rows = np.asarray(members)
-        for col, t in enumerate(ts):
-            mass = _rk4_phase_segment(mass, rates, pm, t - prev_t, step)
-            prev_t = t
+        for col, g in enumerate(gap_index):
+            mass = np.einsum("mi,mij->mj", mass, steps[:, g])
             surv[rows, col] = mass.sum(axis=1)
             dens[rows, col] = (mass * nu).sum(axis=1)
     return surv, dens
@@ -643,8 +611,9 @@ def random_coxian_decreasing(
     Completion rates are sorted log-uniform draws, continuations are
     uniform on [0.05, max_continuation], and the result is normalized to
     unit mean by default.  Normalized draws whose largest rate exceeds
-    ``max_unit_rate`` are redrawn: they are valid but needlessly stiff for
-    the fixed-step survival evaluation.
+    ``max_unit_rate`` are redrawn: they are valid, but a large rate
+    shrinks the stable step of the mean-field RK4 integrator (see
+    ``mfode.step_bound``).
     """
     lo, hi = math.log(completion_range[0]), math.log(completion_range[1])
     while True:

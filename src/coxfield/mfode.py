@@ -53,7 +53,9 @@ from .order import (
     MeanFieldState,
     StateLike,
     _as_h,
+    _cell_diffs,
     _leq_arrays,
+    _phase_diffs,
     leq,
     state_space_report,
     zero_state,
@@ -320,11 +322,9 @@ def service_drift(service: CoxianDistribution, h: StateLike) -> np.ndarray:
     rates = np.asarray(service.rates, dtype=float)
     conts = np.asarray(service.continuations, dtype=float)
     nu = rates * (1 - conts)
-    pad_phase = np.zeros(h.shape[:-1] + (1,))
-    d_phase = h - np.concatenate([h[..., 1:], pad_phase], axis=-1)
+    d_phase = _phase_diffs(h)
     tail = np.flip(np.cumsum(np.flip(d_phase * nu, axis=-1), axis=-1), axis=-1)
-    pad_level = np.zeros(h.shape[:-2] + (1,) + h.shape[-1:])
-    cells = d_phase - np.concatenate([d_phase[..., 1:, :], pad_level], axis=-2)
+    cells = _cell_diffs(d_phase)
     out = np.empty_like(h)
     out[..., 0] = -(cells @ nu)
     if h.shape[-1] > 1:
@@ -578,8 +578,10 @@ def fixed_point(
     small steps follow the flow, which attracts every valid state to the
     unique fixed point.  Iterates are never clipped.
 
-    ``newton_max`` bounds the steps taken, accepted or rejected.  Stable
-    loads take about 7 to 25; in an overloaded model the drift stalls
+    Once the residual is at most ``residual_tol`` one more plain Newton
+    step polishes pi down to rounding level; it counts as an ordinary
+    step.  ``newton_max`` bounds the steps taken, accepted or rejected.
+    Stable loads take about 8 to 26; in an overloaded model the drift stalls
     while the queues fill level by level, at one to two steps a level.  The
     returned pi has residual at most ``residual_tol`` and passes
     ``state_space_report`` at its default tolerance.  With ``B=None`` the
@@ -618,7 +620,8 @@ def fixed_point(
     tau = _TAU_START
     jac = None
     retry = False
-    while sup > residual_tol:
+    polished = False
+    while sup > residual_tol or not polished:
         if accepted + rejected >= newton_max:
             raise FixedPointError(
                 f"no convergence in {newton_max} continuation steps "
@@ -652,6 +655,7 @@ def fixed_point(
         calls += 1
         trial_sup = float(np.max(np.abs(trial_f)))
         tau *= sup / max(trial_sup, np.finfo(float).tiny)
+        polished = sup <= residual_tol
         h, fval, sup = trial, trial_f, trial_sup
         jac = None
         retry = False
@@ -727,8 +731,7 @@ def lyapunov_rates(model: PolicyModel, h: StateLike, L: int = 1):
     if not 1 <= L <= arr.shape[0]:
         raise ValueError(f"need 1 <= L <= B, got L={L}")
     nu = model.service.completion_rates
-    pad = np.zeros((arr.shape[0], 1))
-    d_phase = arr - np.concatenate([arr[:, 1:], pad], axis=1)
+    d_phase = _phase_diffs(arr)
     f = _ARRIVALS[model.kind](model, arr)
     dz1 = float(f[L - 1 :, 0].sum() - np.dot(d_phase[L - 1, :], nu))
     dz2 = float(-arr[0, 0] + np.dot(d_phase[0, :], nu))

@@ -168,9 +168,7 @@ def to_occupancy(state: StateLike, tol: float = OMEGA_TOL) -> OccupancyState:
         shown = ", ".join(report.violations[:8])
         raise ValueError(f"state outside the valid polytope: {shown}")
     h = _as_h(state)
-    d = h - np.concatenate([h[:, 1:], np.zeros((h.shape[0], 1))], axis=1)
-    x = d - np.concatenate([d[1:, :], np.zeros((1, h.shape[1]))], axis=0)
-    x = np.maximum(x, 0.0)
+    x = np.maximum(_cell_diffs(_phase_diffs(h)), 0.0)
     idle = max(1.0 - float(h[0, 0]), 0.0)
     return OccupancyState(idle, x)
 
@@ -181,9 +179,7 @@ def from_occupancy(occ: OccupancyState) -> MeanFieldState:
     The construction yields a valid state by design: tail sums of
     nonnegative cells satisfy every defining inequality.
     """
-    t = np.flip(np.cumsum(np.flip(occ.x, axis=0), axis=0), axis=0)
-    h = np.flip(np.cumsum(np.flip(t, axis=1), axis=1), axis=1)
-    return MeanFieldState(h)
+    return MeanFieldState(_tail_sums(occ.x))
 
 
 def random_state(B: int, n: int, rng: np.random.Generator) -> MeanFieldState:
@@ -221,6 +217,26 @@ def _phase_diffs(h: np.ndarray) -> np.ndarray:
     """d[..., l, i] = h_{l,i} - h_{l,i+1} with h_{.,n+1} = 0."""
     pad = np.zeros(h.shape[:-1] + (1,))
     return h - np.concatenate([h[..., 1:], pad], axis=-1)
+
+
+def _cell_diffs(d: np.ndarray) -> np.ndarray:
+    """x[..., l, i] = d_{l,i} - d_{l+1,i} with d_{B+1,.} = 0.
+
+    Applied to phase differences this is the cell occupancy: the mass
+    with queue length exactly l in phase exactly i.
+    """
+    pad = np.zeros(d.shape[:-2] + (1,) + d.shape[-1:])
+    return d - np.concatenate([d[..., 1:, :], pad], axis=-2)
+
+
+def _tail_sums(x: np.ndarray) -> np.ndarray:
+    """h[..., l, i] = sum_{l' >= l, i' >= i} x[..., l', i'].
+
+    Inverse of ``_cell_diffs(_phase_diffs(.))``: tail sums over levels,
+    then over phases.
+    """
+    t = np.flip(np.cumsum(np.flip(x, axis=-2), axis=-2), axis=-2)
+    return np.flip(np.cumsum(np.flip(t, axis=-1), axis=-1), axis=-1)
 
 
 def _suffix_min(a: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import stats
 
 from .mfode import PolicyModel
-from .order import StateLike, _as_h
+from .order import StateLike, _as_h, _tail_sums
 
 _BLOCK = 1 << 16
 
@@ -266,9 +266,7 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
 
 def _estimate_from_dwell(config, dwell):
     span = config.horizon - config.resolved_warmup
-    x = dwell / (config.N * span)
-    t_sum = np.flip(np.cumsum(np.flip(x, axis=0), axis=0), axis=0)
-    return np.flip(np.cumsum(np.flip(t_sum, axis=1), axis=1), axis=1)
+    return _tail_sums(dwell / (config.N * span))
 
 
 def simulate(config: SimConfig, seed: Optional[int] = None) -> StationaryEstimate:

@@ -175,6 +175,24 @@ def test_cdf_matches_closed_forms():
     want = 1 - 0.3 * np.exp(-3.0 * ts) - 0.7 * np.exp(-0.5 * ts)
     assert cf.cdf(hyper, ts) == pytest.approx(want, abs=1e-12)
 
+    # unsorted times with duplicates and t = 0
+    ts = np.random.default_rng(7).permutation(
+        np.concatenate([[0.0, 0.0, 1e-3, 0.5, 0.5], np.linspace(0.01, 6.0, 17)])
+    )
+    stiff = cf.HyperExponential((0.5, 0.5), (100.0, 0.5))
+    want = 1 - 0.5 * np.exp(-100.0 * ts) - 0.5 * np.exp(-0.5 * ts)
+    for dist in (stiff, cf.hyperexp_to_coxian(stiff)):
+        assert cf.cdf(dist, ts) == pytest.approx(want, abs=1e-12)
+
+    # a Coxian outside the hyperexponential class, against its exact
+    # signed mixture 83/90 e^{-t} - 3/190 e^{-2t} + 16/171 e^{-t/10}
+    cox = cf.CoxianDistribution((1.0, 2.0, 0.1), (0.1, 0.8, 0.0))
+    weights, rates = (83 / 90, -3 / 190, 16 / 171), (1.0, 2.0, 0.1)
+    surv = sum(w * np.exp(-mu * ts) for w, mu in zip(weights, rates))
+    dens = sum(w * mu * np.exp(-mu * ts) for w, mu in zip(weights, rates))
+    assert cf.cdf(cox, ts) == pytest.approx(1 - surv, abs=1e-12)
+    assert cf.pdf(cox, ts) == pytest.approx(dens, abs=1e-12)
+
 
 def test_pdf_is_cdf_derivative():
     cox = cf.CoxianDistribution((2.0, 2.0 / 3.0), (1.0 / 3.0, 0.0))

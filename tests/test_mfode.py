@@ -17,6 +17,8 @@ from coxfield.dist import SchemaError
 from coxfield.mfode import _rk4, drift
 from coxfield.order import _as_h
 
+from test_acceptance import mcox1_tail
+
 
 def naive_phi(x, K, d):
     return sum(
@@ -378,6 +380,15 @@ def test_fixed_point_rejects_invalid_iterates(balanced_service):
     assert fp.residual <= 1e-12
     assert np.abs(drift(model, fp.pi.h)).max() <= 1e-12
     assert cf.state_space_report(fp.pi).ok
+
+
+def test_fixed_point_matches_single_queue_ctmc(balanced_service):
+    # with r = 0 every server is an independent M/Cox/1/B queue; the
+    # polishing Newton step brings pi to rounding level of the direct solve
+    model = cf.PolicyModel(kind="pullpush", lam=0.8, r=0.0, service=balanced_service, B=10)
+    fp = cf.fixed_point(model)
+    queue = mcox1_tail(balanced_service, 0.8, 10)
+    assert np.abs(fp.pi.h - queue).max() <= 1e-13
 
 
 def test_fixed_point_step_limit(balanced_service):
