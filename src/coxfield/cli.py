@@ -2,10 +2,11 @@
 
 Each subcommand reads JSON inputs, writes its primary output files plus a
 run manifest into --out, and returns 0 on success, 1 when the math
-rejects the input or a verification fails, and 2 on malformed input.
+rejects the input, a verification fails or the run overflows or runs out
+of memory, and 2 on malformed input.
 Primary outputs are deterministic given the same inputs and seed; the
 manifest additionally records wall-clock time, the tool version and, for
-``fixed-point``, the solver's work counts under "stats".
+``fixed-point`` and ``simulate``, the work counts under "stats".
 """
 
 import argparse
@@ -46,6 +47,7 @@ from .mfode import (
     model_to_dict,
     attraction_report,
     monotonicity_report,
+    _number_field,
     _rk4,
     step_bound,
 )
@@ -228,18 +230,25 @@ def _cmd_simulate(args):
     if not isinstance(data, dict) or "model" not in data:
         raise SchemaError("simulation config needs a 'model' object")
     for key in ("N", "horizon"):
-        if key not in data:
+        if data.get(key) is None:
             raise SchemaError(f"simulation config is missing {key!r}")
     model = model_from_dict(data["model"])
+
+    def number(key, integer=False):
+        return _number_field(data, key, integer, where="simulation")
+
+    seed = number("seed", integer=True)
+    replications = number("replications", integer=True)
     config = SimConfig(
         model=model,
-        N=int(data["N"]),
-        horizon=float(data["horizon"]),
-        seed=int(data.get("seed", args.seed)),
-        warmup=data.get("warmup"),
-        replications=int(data.get("replications", 1)),
+        N=number("N", integer=True),
+        horizon=number("horizon"),
+        seed=args.seed if seed is None else seed,
+        warmup=number("warmup"),
+        replications=1 if replications is None else replications,
     )
     estimate = replicate(config)
+    args.stats = asdict(estimate.stats)
     pi = fixed_point(model)
     report = compare_to_fixed_point(estimate, pi.pi)
     out = {
@@ -500,7 +509,9 @@ def main(argv=None):
         print(f"coxfield {args.command}: {exc}", file=sys.stderr)
         _write_manifest(args, {}, [], started, error=str(exc))
         return 2
-    except (ValueError, FixedPointError, IntegrationError) as exc:
+    except (
+        ValueError, FixedPointError, IntegrationError, OverflowError, MemoryError
+    ) as exc:
         print(f"coxfield {args.command}: {exc}", file=sys.stderr)
         _write_manifest(args, {}, [], started, error=str(exc))
         return 1

@@ -180,17 +180,30 @@ def model_to_dict(model: PolicyModel) -> dict:
     return out
 
 
-def _number_field(data: dict, key: str, integer: bool = False):
-    """A JSON number (None when absent); integer fields come back as int."""
+#: Largest accepted value of each integer field of the model and
+#: simulation schemas.  Larger values are malformed input: a jsq ``d`` of
+#: 1e300 would loop for ever in the drift and an ``N`` of 1e300 cannot be
+#: allocated.  ``B`` allows twice the largest automatic buffer.
+SCHEMA_CAPS = {"B": 1024, "d": 100, "K": 100, "N": 10**6, "replications": 10**4}
+
+
+def _number_field(data: dict, key: str, integer: bool = False, where: str = "model"):
+    """A JSON number (None when absent); integer fields come back as int.
+
+    Integer fields named in SCHEMA_CAPS must not exceed their cap.
+    """
     value = data.get(key)
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"model field {key!r} must be a number, got {value!r}")
+        raise SchemaError(f"{where} field {key!r} must be a number, got {value!r}")
     if not integer:
         return float(value)
     if isinstance(value, float) and not value.is_integer():
-        raise SchemaError(f"model field {key!r} must be an integer, got {value!r}")
+        raise SchemaError(f"{where} field {key!r} must be an integer, got {value!r}")
+    cap = SCHEMA_CAPS.get(key)
+    if cap is not None and value > cap:
+        raise SchemaError(f"{where} field {key!r} must be at most {cap}, got {value!r}")
     return int(value)
 
 

@@ -13,6 +13,13 @@ time-averaged state.  Averages of valid states over a convex set remain
 valid states, so the estimate satisfies the state-space inequalities up
 to float summation error.
 
+The event loop is one flat pure-Python loop: the swap-remove and the
+dwell charge are written inline, and the three arrival policies end in
+one block that places a job on each chosen server.  Uniforms come from
+the bound ``next`` of a C-level chain over ``Generator.random`` blocks
+that double from 1024 to 65536 floats; the stream is the same whatever
+the block sizes, so a replication's bytes depend on its seed alone.
+
 Replications are independent chains with seeds seed, seed+1, ...; the
 pooled estimate and 95% half-widths come from the replication variance.
 COXFIELD_THREADS caps how many run in parallel (processes, since the
@@ -21,8 +28,10 @@ event loop is pure Python); results are pooled in seed order either way.
 
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -57,6 +66,8 @@ class SimConfig:
             raise ValueError(f"need N >= 1 servers, got {self.N}")
         if self.replications < 1:
             raise ValueError(f"need replications >= 1, got {self.replications}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"need a finite horizon, got {self.horizon}")
         warm = self.resolved_warmup
         if not 0 <= warm < self.horizon:
             raise ValueError(
@@ -74,12 +85,31 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
+class SimStats:
+    """Where a simulation spent its work, one entry per replication.
+
+    Entries are in seed order.  ``events`` counts simulated transitions
+    (arrivals, probes and phase completions); ``jobs`` counts arriving
+    jobs and ``drops`` those that found a full buffer.  ``wall_s`` is the
+    wall time of each replication in the process that ran it, and
+    ``events_per_s`` their ratio.
+    """
+
+    events: tuple
+    events_per_s: tuple
+    drops: tuple
+    jobs: tuple
+    wall_s: tuple
+
+
+@dataclass(frozen=True)
 class StationaryEstimate:
     """Pooled time-averaged tail fractions with 95% half-widths.
 
     ``half_width`` is zero everywhere for a single replication (no
     variance information); ``per_replication`` keeps the individual
-    averages for custom pooling.
+    averages for custom pooling.  ``stats`` (excluded from equality)
+    records the work of each replication.
     """
 
     h_bar: np.ndarray
@@ -88,48 +118,47 @@ class StationaryEstimate:
     replications: int
     per_replication: np.ndarray
     drop_fraction: float
+    stats: Optional[SimStats] = field(default=None, compare=False)
 
 
-class _Draws:
-    """Sequential uniform stream in pre-drawn blocks (python floats)."""
+def _uniforms(seed):
+    """Bound ``next`` over the seed's ``Generator.random`` stream.
 
-    __slots__ = ("_rng", "_buf", "_k")
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self._buf = self._rng.random(_BLOCK).tolist()
-        self._k = 0
-
-    def __call__(self):
-        k = self._k
-        buf = self._buf
-        if k == _BLOCK:
-            buf = self._buf = self._rng.random(_BLOCK).tolist()
-            k = 0
-        self._k = k + 1
-        return buf[k]
+    The floats are drawn in blocks that double from 1024 up to _BLOCK, so
+    a short replication does not pay for a full block; the stream itself
+    does not depend on the block sizes.
+    """
+    rng = np.random.default_rng(seed)
+    # 1024, 2048, ..., 32768 floats, then _BLOCK = 65536 at a time
+    sizes = chain([1 << k for k in range(10, 16)], repeat(_BLOCK))
+    return chain.from_iterable(map(np.ndarray.tolist, map(rng.random, sizes))).__next__
 
 
 def _run_replication(config: SimConfig, seed: int) -> tuple:
-    """One chain; returns (dwell matrix (B, n), drop count, job count)."""
+    """One chain; returns (dwell matrix (B, n), drops, jobs, events)."""
     model = config.model
     N, B, n = config.N, model.B, model.n
     warmup = config.resolved_warmup
     horizon = config.horizon
-    u = _Draws(seed)
+    u = _uniforms(seed)
+    log = math.log
 
     mu = [0.0] + [float(r) for r in model.service.rates]
     cont = [0.0] + [float(p) for p in model.service.continuations]
+    mu1 = mu[1]
     lam_total = model.lam * N
     kind = model.kind
+    pullpush = kind == "pullpush"
+    probe_rate = float(model.r or 0.0)
     d = model.d or 1
     K = model.K or 1
-    probe_rate = float(model.r or 0.0)
+    choices, rest = range(d), range(d - 1)
 
     qlen = [0] * N
     phase = [0] * N
     pos = list(range(N))
-    members = [list(range(N))] + [[] for _ in range(n)]  # members[0] = idle
+    members = [list(range(N))] + [[] for _ in range(n)]
+    idle, busy1 = members[0], members[1]  # idle servers, servers in phase 1
     last = [0.0] * N
     occ = [[0.0] * n for _ in range(B)]
     svc_total = 0.0
@@ -138,53 +167,16 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
     t = 0.0
     events = 0
 
-    def account(i):
-        # charge the elapsed dwell in the current cell, inside the window
-        li = qlen[i]
-        if li > 0:
-            start = last[i]
-            if start < warmup:
-                start = warmup
-            if t > start:
-                occ[li - 1][phase[i] - 1] += t - start
-        last[i] = t
-
-    def unlink(i):
-        lst = members[phase[i]]
-        k = pos[i]
-        moved = lst[-1]
-        lst[k] = moved
-        pos[moved] = k
-        lst.pop()
-
-    def link(i, ph):
-        lst = members[ph]
-        pos[i] = len(lst)
-        lst.append(i)
-        phase[i] = ph
-
-    def place(i):
-        nonlocal svc_total, drops, jobs
-        jobs += 1
-        li = qlen[i]
-        if li >= B:
-            drops += 1
-            return
-        account(i)
-        if li == 0:
-            unlink(i)
-            link(i, 1)
-            svc_total += mu[1]
-        qlen[i] = li + 1
-
+    # Moving server i between member lists is a swap-remove: the last entry
+    # takes i's slot.  Before a server changes cell, the time since its last
+    # change, clipped to the window, is charged to its (length, phase) cell.
     while True:
-        idle = len(members[0])
-        if kind == "pullpush":
-            arr_total = lam_total + probe_rate * idle
+        if pullpush:
+            arr_total = lam_total + probe_rate * len(idle)
         else:
             arr_total = lam_total
         total = arr_total + svc_total
-        t += -math.log(1.0 - u()) / total
+        t += -log(1.0 - u()) / total
         if t >= horizon:
             t = horizon
             break
@@ -198,7 +190,7 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
                 best = int(u() * N)
                 blen = qlen[best]
                 ties = 1
-                for _ in range(d - 1):
+                for _ in rest:
                     s = int(u() * N)
                     sl = qlen[s]
                     if sl < blen:
@@ -207,30 +199,67 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
                         ties += 1
                         if u() * ties < 1.0:
                             best = s
-                place(best)
+                targets = (best,)
             elif kind == "batchjsq":
                 # rank the d sampled slots by length at arrival, random
                 # tiebreak; the K best get one job each (repeats allowed)
-                slots = [(qlen[s], u(), s) for s in (int(u() * N) for _ in range(d))]
+                slots = [(qlen[s], u(), s) for s in (int(u() * N) for _ in choices)]
                 slots.sort()
-                for _, _, s in slots[:K]:
-                    place(s)
+                targets = [s for _, _, s in slots[:K]]
+            elif x < lam_total:
+                targets = (int(u() * N),)
             else:
-                if x < lam_total:
-                    place(int(u() * N))
-                elif N > 1:
-                    prober = members[0][int(u() * idle)]
+                # an idle server pulls one waiting job from a random peer
+                if N > 1:
+                    prober = idle[int(u() * len(idle))]
                     target = int(u() * (N - 1))
                     if target >= prober:
                         target += 1
-                    if qlen[target] >= 2:
-                        account(target)
-                        qlen[target] -= 1
-                        account(prober)
-                        unlink(prober)
-                        link(prober, 1)
+                    li = qlen[target]
+                    if li >= 2:
+                        start = last[target]
+                        if start < warmup:
+                            start = warmup
+                        if t > start:
+                            occ[li - 1][phase[target] - 1] += t - start
+                        last[target] = t
+                        qlen[target] = li - 1
+                        last[prober] = t
+                        k = pos[prober]
+                        moved = idle.pop()
+                        if moved != prober:
+                            idle[k] = moved
+                            pos[moved] = k
+                        pos[prober] = len(busy1)
+                        busy1.append(prober)
+                        phase[prober] = 1
                         qlen[prober] = 1
-                        svc_total += mu[1]
+                        svc_total += mu1
+                continue
+            for i in targets:
+                jobs += 1
+                li = qlen[i]
+                if li >= B:
+                    drops += 1
+                    continue
+                if li:
+                    start = last[i]
+                    if start < warmup:
+                        start = warmup
+                    if t > start:
+                        occ[li - 1][phase[i] - 1] += t - start
+                else:
+                    k = pos[i]
+                    moved = idle.pop()
+                    if moved != i:
+                        idle[k] = moved
+                        pos[moved] = k
+                    pos[i] = len(busy1)
+                    busy1.append(i)
+                    phase[i] = 1
+                    svc_total += mu1
+                last[i] = t
+                qlen[i] = li + 1
         else:
             x -= arr_total
             j = 1
@@ -242,26 +271,46 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
                 j += 1
             bucket = members[j]
             i = bucket[int(u() * len(bucket)) % len(bucket)]
-            account(i)
+            li = qlen[i]
+            start = last[i]
+            if start < warmup:
+                start = warmup
+            if t > start:
+                occ[li - 1][j - 1] += t - start
+            last[i] = t
             if u() < cont[j]:
-                unlink(i)
-                link(i, j + 1)
-                svc_total += mu[j + 1] - mu[j]
+                dest = j + 1
+                svc_total += mu[dest] - mu[j]
             else:
-                li = qlen[i] - 1
+                li -= 1
                 qlen[i] = li
                 if li == 0:
-                    unlink(i)
-                    link(i, 0)
+                    dest = 0
                     svc_total -= mu[j]
                 elif j != 1:
-                    unlink(i)
-                    link(i, 1)
-                    svc_total += mu[1] - mu[j]
+                    dest = 1
+                    svc_total += mu1 - mu[j]
+                else:
+                    continue
+            k = pos[i]
+            moved = bucket.pop()
+            if moved != i:
+                bucket[k] = moved
+                pos[moved] = k
+            lst = members[dest]
+            pos[i] = len(lst)
+            lst.append(i)
+            phase[i] = dest
 
     for i in range(N):
-        account(i)
-    return np.asarray(occ), drops, jobs
+        li = qlen[i]
+        if li:
+            start = last[i]
+            if start < warmup:
+                start = warmup
+            if t > start:
+                occ[li - 1][phase[i] - 1] += t - start
+    return np.asarray(occ), drops, jobs, events
 
 
 def _estimate_from_dwell(config, dwell):
@@ -269,23 +318,45 @@ def _estimate_from_dwell(config, dwell):
     return _tail_sums(dwell / (config.N * span))
 
 
-def simulate(config: SimConfig, seed: Optional[int] = None) -> StationaryEstimate:
-    """Run a single replication (half-widths are zero)."""
-    dwell, drops, jobs = _run_replication(config, config.seed if seed is None else seed)
-    h_bar = _estimate_from_dwell(config, dwell)
+def _timed_replication(task):
+    config, seed = task
+    started = time.perf_counter()
+    result = _run_replication(config, seed)
+    return result + (time.perf_counter() - started,)
+
+
+def _pool(config: SimConfig, results: list) -> StationaryEstimate:
+    """Pool per-replication results (in seed order) into one estimate."""
+    R = len(results)
+    dwells, drops, jobs, events, wall = zip(*results)
+    per = np.stack([_estimate_from_dwell(config, dwell) for dwell in dwells])
+    h_bar = per.mean(axis=0)
+    if R > 1:
+        spread = per.std(axis=0, ddof=1) / math.sqrt(R)
+        half = float(stats.t.ppf(0.975, R - 1)) * spread
+    else:
+        half = np.zeros_like(h_bar)
     return StationaryEstimate(
         h_bar=h_bar,
-        half_width=np.zeros_like(h_bar),
+        half_width=half,
         n_servers=config.N,
-        replications=1,
-        per_replication=h_bar[None],
-        drop_fraction=drops / jobs if jobs else 0.0,
+        replications=R,
+        per_replication=per,
+        drop_fraction=sum(drops) / sum(jobs) if any(jobs) else 0.0,
+        stats=SimStats(
+            events=events,
+            events_per_s=tuple(e / w for e, w in zip(events, wall)),
+            drops=drops,
+            jobs=jobs,
+            wall_s=wall,
+        ),
     )
 
 
-def _worker(args):
-    config, seed = args
-    return _run_replication(config, seed)
+def simulate(config: SimConfig, seed: Optional[int] = None) -> StationaryEstimate:
+    """Run a single replication (half-widths are zero)."""
+    task = (config, config.seed if seed is None else seed)
+    return _pool(config, [_timed_replication(task)])
 
 
 def _thread_cap() -> int:
@@ -309,33 +380,20 @@ def replicate(config: SimConfig) -> StationaryEstimate:
     half-widths depend only on (config, seed), not on scheduling.
     Parallel workers are capped by the COXFIELD_THREADS environment
     variable (default: machine parallelism); a value that is not a
-    positive integer raises ValueError.
+    positive integer raises ValueError.  Each worker takes its
+    replications in chunks of about R / (4 workers), which keeps the
+    round trips few when replications are short.
     """
     R = config.replications
-    seeds = [config.seed + r for r in range(R)]
+    tasks = [(config, config.seed + r) for r in range(R)]
     workers = max(1, min(_thread_cap(), R))
     if workers == 1:
-        results = [_run_replication(config, s) for s in seeds]
+        results = list(map(_timed_replication, tasks))
     else:
+        chunk = max(1, R // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, [(config, s) for s in seeds]))
-    per = np.stack([_estimate_from_dwell(config, dwell) for dwell, _, _ in results])
-    drops = sum(r[1] for r in results)
-    jobs = sum(r[2] for r in results)
-    h_bar = per.mean(axis=0)
-    if R > 1:
-        spread = per.std(axis=0, ddof=1) / math.sqrt(R)
-        half = float(stats.t.ppf(0.975, R - 1)) * spread
-    else:
-        half = np.zeros_like(h_bar)
-    return StationaryEstimate(
-        h_bar=h_bar,
-        half_width=half,
-        n_servers=config.N,
-        replications=R,
-        per_replication=per,
-        drop_fraction=drops / jobs if jobs else 0.0,
-    )
+            results = list(pool.map(_timed_replication, tasks, chunksize=chunk))
+    return _pool(config, results)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
 """Command-line interface: files, schemas, exit codes, determinism."""
 
 import json
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coxfield as cf
 from coxfield.cli import main
+from coxfield.mfode import SCHEMA_CAPS
 
 
 HYPER = {"kind": "hyperexp", "weights": [0.5, 0.5], "rates": [2.0, 2.0 / 3.0]}
@@ -197,6 +203,131 @@ def test_simulate_output(tmp_path):
     assert (tmp_path / "simulate.json").read_bytes() == first
     missing = write(tmp_path / "m.json", {"model": config["model"], "N": 5})
     assert main(["simulate", missing, "--out", str(tmp_path)]) == 2
+
+
+def test_simulate_manifest_stats(tmp_path):
+    config = {
+        "model": {"policy": "jsq", "lambda": 0.6, "d": 2, "B": 4, "service": HYPER},
+        "N": 25, "horizon": 50.0, "warmup": 10.0, "replications": 2, "seed": 0,
+    }
+    src = write(tmp_path / "sim.json", config)
+    assert main(["simulate", src, "--out", str(tmp_path)]) == 0
+    out = load(tmp_path, "simulate.json")
+    stats = load(tmp_path, "manifest.json")["stats"]
+    assert "stats" not in out
+    assert set(stats) == {"events", "events_per_s", "drops", "jobs", "wall_s"}
+    assert all(len(v) == 2 for v in stats.values())
+    assert all(e > j > 0 for e, j in zip(stats["events"], stats["jobs"]))
+    assert sum(stats["drops"]) / sum(stats["jobs"]) == out["drop_fraction"]
+    for events, rate, wall in zip(stats["events"], stats["events_per_s"], stats["wall_s"]):
+        assert wall > 0 and rate == pytest.approx(events / wall)
+
+
+def test_simulate_rejects_absurd_cluster(tmp_path):
+    # the simulator allocates per-server state: reject before any work
+    config = {"model": {"policy": "jsq", "lambda": 0.6, "d": 2, "B": 4, "service": HYPER},
+              "N": 1e300, "horizon": 5.0, "warmup": 1.0}
+    src = write(tmp_path / "sim.json", config)
+    assert main(["simulate", src, "--out", str(tmp_path)]) == 2
+    assert "'N'" in load(tmp_path, "manifest.json")["error"]
+
+
+def test_fixed_point_rejects_absurd_choice_count(tmp_path):
+    # the jsq drift sums d terms: reject before solving
+    src = model_file(tmp_path, d=1e300)
+    assert main(["fixed-point", src, "--out", str(tmp_path)]) == 2
+    assert "'d'" in load(tmp_path, "manifest.json")["error"]
+    cap = SCHEMA_CAPS["d"]
+    assert main(["fixed-point", model_file(tmp_path, d=cap + 1),
+                 "--out", str(tmp_path)]) == 2
+    assert main(["fixed-point", model_file(tmp_path, d=cap),
+                 "--out", str(tmp_path)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# schema fuzz: small valid documents with at most one field set to an edge
+# value; whatever the input, main() must return an exit code, never raise
+
+_ABSENT = object()
+EXPO = {"kind": "coxian", "rates": [1.0], "continuations": [0.0]}
+
+
+def _edges(key):
+    values = [0, -1, -0.5, 2.5, float("nan"), float("inf"), "1", None, True, _ABSENT]
+    if key in SCHEMA_CAPS:
+        values += [SCHEMA_CAPS[key], SCHEMA_CAPS[key] + 1, 1e300]
+    return values
+
+
+MODEL_BASE = {
+    "policy": st.sampled_from(["jsq", "pullpush", "batchjsq"]),
+    "lambda": st.floats(0.1, 0.9),
+    "B": st.integers(1, 5),
+    "d": st.integers(1, 3),
+    "K": st.just(1),
+    "r": st.floats(0.0, 2.0),
+    "service": st.just(EXPO),
+}
+MODEL_EDGES = {key: _edges(key) for key in ("lambda", "B", "d", "K", "r")}
+MODEL_EDGES["policy"] = ["fifo", None, 3, _ABSENT]
+MODEL_EDGES["service"] = [
+    HYPER, COX, None, "x", [], {"kind": "coxian"}, {"kind": None},
+    {"kind": "coxian", "rates": "ab", "continuations": [0.0]},
+    {"kind": "coxian", "rates": [1.0], "continuations": None},
+    {"kind": "coxian", "rates": [float("nan")], "continuations": [0.0]},
+    {"kind": "hyperexp", "weights": [0.5, 0.5], "rates": [2.0, "x"]},
+    {"kind": "hyperexp", "weights": [1.0], "rates": [-1.0]},
+]
+
+SIM_BASE = {
+    "model": st.fixed_dictionaries(MODEL_BASE),
+    "N": st.integers(1, 8),
+    "horizon": st.floats(0.01, 0.2),
+    "warmup": st.just(0.0),
+    "replications": st.integers(1, 3),
+    "seed": st.integers(0, 3),
+}
+SIM_EDGES = {key: _edges(key) for key in ("N", "horizon", "warmup", "replications", "seed")}
+SIM_EDGES["model"] = [None, "x", [], _ABSENT]
+SIM_EDGES.update({f"model.{key}": values for key, values in MODEL_EDGES.items()})
+
+
+@st.composite
+def _document(draw, base, edges):
+    doc = draw(st.fixed_dictionaries(base))
+    key = draw(st.sampled_from([None, *sorted(edges)]))
+    if key is not None:
+        value = draw(st.sampled_from(edges[key]))
+        *path, last = key.split(".")
+        target = doc
+        for part in path:
+            target = target[part]
+        if value is _ABSENT:
+            del target[last]
+        else:
+            target[last] = value
+    return doc
+
+
+def _exit_code(command, doc):
+    with tempfile.TemporaryDirectory() as out:
+        src = os.path.join(out, "input.json")
+        with open(src, "w") as fh:
+            json.dump(doc, fh)
+        with mock.patch.dict(os.environ, {"COXFIELD_THREADS": "1"}):
+            return main([command, src, "--out", out])
+
+
+@settings(max_examples=60)
+@given(doc=_document(MODEL_BASE, MODEL_EDGES))
+def test_fixed_point_schema_fuzz(doc):
+    assert _exit_code("fixed-point", doc) in (0, 1, 2)
+
+
+@settings(max_examples=60)
+@given(doc=_document(SIM_BASE, SIM_EDGES))
+def test_simulate_schema_fuzz(doc):
+    assert _exit_code("simulate", doc) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

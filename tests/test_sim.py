@@ -7,10 +7,14 @@ finite-N bias.  Everything else checks determinism, pooling and the
 comparison contract.
 """
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
 import coxfield as cf
+from coxfield import sim
 from coxfield.sim import StationaryEstimate
 
 
@@ -123,6 +127,81 @@ def test_overloaded_model_runs_and_drops(balanced_service):
     est = cf.simulate(cf.SimConfig(model=model, N=20, horizon=30.0, seed=0, warmup=5.0))
     assert est.drop_fraction > 0.0
     assert cf.in_state_space(est.h_bar, tol=1e-12)
+
+
+# SHA-256 over (dwell bytes, drops, jobs) of seeds 0, 1, 2: the event loop
+# must draw the same uniforms and do the same float operations in the same
+# order, so any rewrite of it keeps these bytes.
+GOLDEN_REPLICATIONS = {
+    "jsq-d2": (
+        dict(kind="jsq", lam=0.7, B=6, d=2),
+        dict(N=40, horizon=60.0, warmup=10.0),
+        "2f1b7e18299b00332b5119083d86fd6f976b0d21c5c687e9625d3d41fc219c80",
+    ),
+    "batchjsq-d3-k2": (
+        dict(kind="batchjsq", lam=0.3, B=6, d=3, K=2),
+        dict(N=40, horizon=60.0, warmup=10.0),
+        "788c8d7ad79bd816db63909d9bc921c68a218773dd7eef428ec3431ead545485",
+    ),
+    "pullpush-r1": (
+        dict(kind="pullpush", lam=0.5, B=5, r=1.0),
+        dict(N=30, horizon=60.0, warmup=10.0),
+        "f2e52eb07e0b26efcf5d6a101eab8b51517baa86794d967bacce3f26a573cd3b",
+    ),
+    "pullpush-n1": (
+        dict(kind="pullpush", lam=0.5, B=4, r=2.0),
+        dict(N=1, horizon=200.0, warmup=20.0),
+        "170cdb584024b01c12951dc3735c49809ce400319a1da17aabfaa13cd004d52d",
+    ),
+    "jsq-overload": (
+        dict(kind="jsq", lam=1.2, B=3, d=2),
+        dict(N=20, horizon=30.0, warmup=5.0),
+        "9588a1c91ce9ee0968e63e772a6cec8640e452e66a08acb2b10882e834f350f3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPLICATIONS))
+def test_replication_golden_bytes(name, balanced_service):
+    spec, shape, digest = GOLDEN_REPLICATIONS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = cf.PolicyModel(service=balanced_service, **spec)
+    config = cf.SimConfig(model=model, **shape)
+    h = hashlib.sha256()
+    for seed in range(3):
+        dwell, drops, jobs = sim._run_replication(config, seed)[:3]
+        h.update(np.ascontiguousarray(dwell, dtype=np.float64).tobytes())
+        h.update(f"{drops},{jobs};".encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_replicate_golden_bytes(threads, balanced_service, monkeypatch):
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=6, d=2)
+    config = cf.SimConfig(
+        model=model, N=40, horizon=60.0, warmup=10.0, seed=7, replications=3
+    )
+    monkeypatch.setenv("COXFIELD_THREADS", threads)
+    est = cf.replicate(config)
+    h = hashlib.sha256(est.per_replication.tobytes())
+    h.update(repr(est.drop_fraction).encode())
+    assert h.hexdigest() == (
+        "d216805a4bc13f21c4369e18e868fa21e7d5527b2c1abd1409b5e9f7ef540cbd"
+    )
+
+
+def test_stats_count_each_replication(balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=6, d=2)
+    config = cf.SimConfig(
+        model=model, N=40, horizon=60.0, warmup=10.0, seed=2, replications=3
+    )
+    stats = cf.replicate(config).stats
+    _, drops, jobs, events = sim._run_replication(config, 4)
+    assert (stats.events[2], stats.drops[2], stats.jobs[2]) == (events, drops, jobs)
+    assert all(len(v) == 3 for v in vars(stats).values())
+    assert all(rate > 0 for rate in stats.events_per_s)
+    assert cf.simulate(config, seed=4).stats.events == (events,)
 
 
 def test_warmup_resolution(balanced_service):
