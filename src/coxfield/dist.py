@@ -325,12 +325,7 @@ def remaining_service_times(cox: CoxianDistribution) -> np.ndarray:
     distributions R_1 = 1, and decreasing completion rates make the vector
     strictly increasing.
     """
-    n = cox.n
-    r = np.empty(n)
-    r[-1] = 1.0 / cox.rates[-1]
-    for i in range(n - 2, -1, -1):
-        r[i] = 1.0 / cox.rates[i] + cox.continuations[i] * r[i + 1]
-    return r
+    return _solve_neg_generator(cox.rates, cox.continuations, np.ones(cox.n))
 
 
 def normalize_to_unit_mean(cox: CoxianDistribution) -> CoxianDistribution:

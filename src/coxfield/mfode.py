@@ -7,22 +7,26 @@ a service part shared by every policy and a policy-specific arrival part:
   {length >= l} only when its length is exactly l, and from every
   {length >= l, phase >= i >= 2} set regardless (the next job restarts in
   phase 1); phase advances feed h_{l,i} from h_{l,i-1}.
-* arrivals: "jsq" routes each job to the shortest of d uniform samples,
-  "pullpush" has uniform local arrivals plus idle servers pulling one
-  waiting job from a uniform peer at rate r, "batchjsq" routes batches of
-  K jobs (batch rate lam per server) to the K shortest of d samples.
+* arrivals: each policy is one overflow polynomial
+  F_{K,d}(x) = sum_{s<K} (K-s) C(d,s) x^(d-s) (1-x)^s, the expected
+  number of a batch's K jobs that land on servers with tail value x when
+  they go to the K shortest of d uniform samples.  "batchjsq" is (K, d)
+  with batch rate lam per server, "jsq" is (1, d), where F = x^d, and
+  "pullpush" is (1, 1) for its uniform local arrivals plus a pull term:
+  idle servers pull one waiting job from a uniform peer at rate r.
 
-For phase columns i >= 2 every arrival drift factors as lam times the
-exact-length phase mass (h_{l-1,i} - h_{l,i}) times a selection slope,
-the divided difference of the policy's overflow polynomial between
-h_{l,1} and h_{l-1,1}.  The batch slope is evaluated by Gauss-Legendre
-quadrature of the derivative along the segment, which is exact for
+Column 1 gets lam (F(h_{l-1,1}) - F(h_{l,1})).  Phase columns i >= 2 get
+lam times the exact-length phase mass (h_{l-1,i} - h_{l,i}) times the
+divided difference of F between h_{l,1} and h_{l-1,1}, evaluated by
+Gauss-Legendre quadrature of F' along the segment, which is exact for
 polynomials and free of the cancellation a raw difference quotient
-suffers when the two tail values nearly coincide.
+suffers when the two tail values nearly coincide.  The constants of F,
+the quadrature rule and the service rates are built once per model.
 
 Integration is classic fixed-step RK4 (drifts are smooth polynomials in
 h; determinism matters more than adaptivity here).  Fixed points are
-found by pseudo-transient continuation from the empty state: backward-
+found by pseudo-transient continuation from the empty state, or from the
+full state when the load lam max(K, 1) is at least 1: backward-
 Euler steps (I/tau - J) delta = f(h) on the full (B n)-dimensional drift,
 with J a one-shot batched finite-difference Jacobian and the pseudo-time
 step tau growing as the drift falls, until the step is plain Newton.
@@ -35,6 +39,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -56,6 +61,8 @@ from .order import (
     _cell_diffs,
     _leq_arrays,
     _phase_diffs,
+    _violations,
+    full_state,
     leq,
     state_space_report,
     zero_state,
@@ -163,6 +170,11 @@ class PolicyModel:
     def with_buffer(self, B: int) -> "PolicyModel":
         return replace(self, B=B)
 
+    @cached_property
+    def _terms(self) -> "_DriftTerms":
+        """Drift constants, built on first use and kept with the model."""
+        return _DriftTerms(self)
+
 
 def model_to_dict(model: PolicyModel) -> dict:
     out = {
@@ -248,6 +260,42 @@ def _check_kd(K: int, d: int):
         raise ValueError(f"need 1 <= K <= d, got K={K}, d={d}")
 
 
+def _overflow_terms(K: int, d: int) -> tuple:
+    """(c, a, b) terms of F_{K,d}(x) = sum of c x^a (1-x)^b, s = K-1 down to 0."""
+    return tuple(((K - s) * math.comb(d, s), d - s, s) for s in range(K - 1, -1, -1))
+
+
+def _prime_terms(K: int, d: int) -> tuple:
+    """(c, a, b) terms of the derivative F'_{K,d}, s = 0 up to K-1."""
+    return tuple((d * math.comb(d - 1, s), d - 1 - s, s) for s in range(K))
+
+
+def _poly(x, terms):
+    """Sum of c x^a (1-x)^b over the (c, a, b) terms, in their order."""
+    acc = None
+    for c, a, b in terms:
+        term = x**a if c == 1 else c * x**a
+        term = term * (1 - x) ** b if b else term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _gl_rule(d: int):
+    """Gauss-Legendre nodes and weights on [0, 1], exact up to degree d - 1."""
+    u, w = np.polynomial.legendre.leggauss(max(1, (d + 1) // 2))
+    return (u + 1.0) / 2.0, w / 2.0
+
+
+def _slope(x1, gap, prime, nodes, weights):
+    """Divided difference of F between x1 and x1 + gap: the mean of F'."""
+    acc = None
+    for t, w in zip(nodes, weights):
+        term = _poly(x1 + t * gap, prime)
+        term = term if w == 1 else w * term
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def batch_overflow(x, K: int, d: int):
     """Expected jobs of a K-batch landing on servers with tail value x.
 
@@ -255,29 +303,13 @@ def batch_overflow(x, K: int, d: int):
     sampled slots below the threshold, which absorb jobs first.
     """
     _check_kd(K, d)
-    x = _check_unit(x, "x")
-    return _batch_overflow(x, K, d)
-
-
-def _batch_overflow(x, K, d):
-    acc = math.comb(d, K - 1) * (K - (K - 1)) * x ** (d - K + 1) * (1 - x) ** (K - 1)
-    for s in range(K - 2, -1, -1):
-        acc = acc + (K - s) * math.comb(d, s) * x ** (d - s) * (1 - x) ** s
-    return acc
+    return _poly(_check_unit(x, "x"), _overflow_terms(K, d))
 
 
 def batch_overflow_prime(x, K: int, d: int):
     """Derivative of batch_overflow: sum of d C(d-1,s) x^(d-1-s)(1-x)^s."""
     _check_kd(K, d)
-    x = _check_unit(x, "x")
-    return _batch_overflow_prime(x, K, d)
-
-
-def _batch_overflow_prime(x, K, d):
-    acc = 0.0
-    for s in range(K):
-        acc = acc + d * math.comb(d - 1, s) * x ** (d - 1 - s) * (1 - x) ** s
-    return acc
+    return _poly(_check_unit(x, "x"), _prime_terms(K, d))
 
 
 def batch_overflow_second(x, K: int, d: int):
@@ -287,28 +319,6 @@ def batch_overflow_second(x, K: int, d: int):
     if K == d:
         return np.zeros_like(x) if x.ndim else 0.0
     return d * (d - 1) * math.comb(d - 2, K - 1) * x ** (d - K - 1) * (1 - x) ** (K - 1)
-
-
-_GL_CACHE = {}
-
-
-def _gl_nodes(d: int):
-    # enough nodes to integrate the degree-(d-1) derivative exactly
-    if d not in _GL_CACHE:
-        m = max(1, (d + 1) // 2)
-        u, w = np.polynomial.legendre.leggauss(m)
-        _GL_CACHE[d] = ((u + 1.0) / 2.0, w / 2.0)
-    return _GL_CACHE[d]
-
-
-def _batch_overflow_slope(x1, x2, K, d):
-    nodes, weights = _gl_nodes(d)
-    x1 = np.asarray(x1, dtype=float)
-    gap = np.asarray(x2, dtype=float) - x1
-    acc = weights[0] * _batch_overflow_prime(x1 + nodes[0] * gap, K, d)
-    for t, w in zip(nodes[1:], weights[1:]):
-        acc = acc + w * _batch_overflow_prime(x1 + t * gap, K, d)
-    return acc
 
 
 def batch_overflow_slope(x1, x2, K: int, d: int):
@@ -322,112 +332,85 @@ def batch_overflow_slope(x1, x2, K: int, d: int):
     _check_kd(K, d)
     x1 = _check_unit(x1, "x1")
     x2 = _check_unit(x2, "x2")
-    return _batch_overflow_slope(x1, x2, K, d)
+    return _slope(x1, x2 - x1, _prime_terms(K, d), *_gl_rule(d))
 
 
 # ---------------------------------------------------------------------------
 # drift assembly; all functions broadcast over leading axes of h
 
 
-def service_drift(service: CoxianDistribution, h: StateLike) -> np.ndarray:
-    """Completion and phase-advance drift, shared by every policy."""
-    h = _as_h_batch(h)
-    rates = np.asarray(service.rates, dtype=float)
-    conts = np.asarray(service.continuations, dtype=float)
-    nu = rates * (1 - conts)
+class _DriftTerms:
+    """Drift constants of one model, built once by ``PolicyModel._terms``.
+
+    Arrivals follow the overflow polynomial of (K, d): jsq is (1, d) and
+    pullpush's local arrivals are (1, 1).  ``pull`` is the probe rate r of
+    pullpush and 0 otherwise.  ``nu`` are the completion rates and
+    ``advance`` the phase-advance rates mu_i p_i.
+    """
+
+    def __init__(self, model: PolicyModel):
+        kd = {"jsq": (1, model.d), "pullpush": (1, 1)}
+        self.K, d = kd.get(model.kind, (model.K, model.d))
+        self.lam = model.lam
+        self.pull = model.r if model.kind == "pullpush" else 0.0
+        self.overflow = _overflow_terms(self.K, d)
+        self.prime = _prime_terms(self.K, d)
+        self.nodes, self.weights = _gl_rule(d)
+        rates = np.asarray(model.service.rates, dtype=float)
+        conts = np.asarray(model.service.continuations, dtype=float)
+        self.nu = rates * (1 - conts)
+        self.advance = rates[:-1] * conts[:-1]
+
+
+def _service(nu, advance, h):
+    """Completion and phase-advance drift for rate vectors nu and advance."""
     d_phase = _phase_diffs(h)
     tail = np.flip(np.cumsum(np.flip(d_phase * nu, axis=-1), axis=-1), axis=-1)
     cells = _cell_diffs(d_phase)
     out = np.empty_like(h)
     out[..., 0] = -(cells @ nu)
-    if h.shape[-1] > 1:
-        advance = (rates[:-1] * conts[:-1]) * d_phase[..., :-1]
-        out[..., 1:] = advance - tail[..., 1:]
+    out[..., 1:] = advance * d_phase[..., :-1] - tail[..., 1:]
     return out
 
 
-def _as_h_batch(h: StateLike) -> np.ndarray:
-    if isinstance(h, MeanFieldState):
-        return h.h
-    arr = np.asarray(h, dtype=float)
-    if arr.ndim < 2:
-        raise ValueError(f"state must have at least 2 axes, got shape {arr.shape}")
-    return arr
+def service_drift(service: CoxianDistribution, h: StateLike) -> np.ndarray:
+    """Completion and phase-advance drift, shared by every policy."""
+    rates = np.asarray(service.rates, dtype=float)
+    conts = np.asarray(service.continuations, dtype=float)
+    return _service(rates * (1 - conts), rates[:-1] * conts[:-1], _as_h(h, batch=True))
 
 
-def _tails(h):
-    """First-phase column, shifted variants with the h_{0,1}=1 convention."""
-    q = h[..., :, 0]
-    ones = np.ones(q.shape[:-1] + (1,))
-    above = np.concatenate([ones, q[..., :-1]], axis=-1)
-    return q, above
+def arrival_drift(model: PolicyModel, h: StateLike) -> np.ndarray:
+    """Arrival drift: the policy's overflow polynomial F, plus pullpush's pulls.
 
-
-def _phase_factor_drift(h, f1, slope, lam):
-    """Assemble f from the level-1 column f1 and the phase-split slope."""
-    pad = np.zeros(h.shape[:-2] + (1,) + h.shape[-1:])
-    above = np.concatenate([pad, h[..., :-1, :]], axis=-2)
-    f = lam * (above - h) * slope[..., None]
-    f[..., 0, :] = 0.0
-    f[..., :, 0] = f1
-    return f
-
-
-def arrival_drift_jsq(model: PolicyModel, h: StateLike) -> np.ndarray:
-    """Power-of-d arrivals: f_{l,1} = lam (h_{l-1,1}^d - h_{l,1}^d)."""
-    h = _as_h_batch(h)
-    q, above = _tails(h)
-    d = model.d
-    f1 = model.lam * (above**d - q**d)
-    slope = sum(above**j * q ** (d - 1 - j) for j in range(d))
-    return _phase_factor_drift(h, f1, slope, model.lam)
-
-
-def arrival_drift_pullpush(model: PolicyModel, h: StateLike) -> np.ndarray:
-    """Uniform local arrivals plus idle-probe transfers at rate r.
-
-    A transfer moves one waiting job from a length >= 2 server (which
-    keeps its phase) to an idle server (which starts the job in phase 1),
-    so the transfer terms cancel in the total arrival mass.
+    Column 1 gets lam (F(h_{l-1,1}) - F(h_{l,1})) with h_{0,1} = 1, where
+    F(1) = K.  Phase i >= 2 at level l >= 2 gets lam (h_{l-1,i} - h_{l,i})
+    times the divided difference of F between h_{l,1} and h_{l-1,1}.
     """
-    h = _as_h_batch(h)
-    q, above = _tails(h)
-    f1 = model.lam * (above - q)
-    pull = model.r * (1.0 - q[..., 0])
-    below = np.concatenate([q[..., 1:], np.zeros(q.shape[:-1] + (1,))], axis=-1)
-    if h.shape[-2] > 1:
-        f1[..., 0] += pull * q[..., 1]
-    f1[..., 1:] -= pull[..., None] * (q[..., 1:] - below[..., 1:])
-    f = _phase_factor_drift(h, f1, np.ones_like(q), model.lam)
-    if h.shape[-1] > 1:
-        pad = np.zeros(h.shape[:-2] + (1,) + h.shape[-1:])
-        h_below = np.concatenate([h[..., 1:, :], pad], axis=-2)
-        loss = pull[..., None, None] * (h[..., 1:, 1:] - h_below[..., 1:, 1:])
-        f[..., 1:, 1:] -= loss
+    h = _as_h(h, batch=True)
+    t = model._terms
+    q = h[..., :, 0]
+    fq = _poly(q, t.overflow)
+    f = np.empty_like(h)
+    f[..., 0, 0] = t.K - fq[..., 0]
+    f[..., 1:, 0] = fq[..., :-1] - fq[..., 1:]
+    f[..., :, 0] *= t.lam
+    f[..., 0, 1:] = 0.0
+    slope = _slope(q[..., 1:], q[..., :-1] - q[..., 1:], t.prime, t.nodes, t.weights)
+    f[..., 1:, 1:] = t.lam * (h[..., :-1, 1:] - h[..., 1:, 1:]) * slope[..., None]
+    if t.pull and h.shape[-2] > 1:
+        # a pull moves a waiting job from a length >= 2 server, which keeps
+        # its phase, to an idle server, which starts the job in phase 1
+        pull = t.pull * (1.0 - q[..., 0])
+        f[..., 0, 0] += pull * q[..., 1]
+        f[..., 1:, :] -= pull[..., None, None] * _cell_diffs(h)[..., 1:, :]
     return f
-
-
-def arrival_drift_batchjsq(model: PolicyModel, h: StateLike) -> np.ndarray:
-    """Batch-sampling arrivals via overflow-polynomial differences."""
-    h = _as_h_batch(h)
-    q, above = _tails(h)
-    K, d = model.K, model.d
-    f1 = model.lam * (_batch_overflow(above, K, d) - _batch_overflow(q, K, d))
-    slope = _batch_overflow_slope(q, above, K, d)
-    return _phase_factor_drift(h, f1, slope, model.lam)
-
-
-_ARRIVALS = {
-    "jsq": arrival_drift_jsq,
-    "pullpush": arrival_drift_pullpush,
-    "batchjsq": arrival_drift_batchjsq,
-}
 
 
 def drift(model: PolicyModel, h: StateLike) -> np.ndarray:
     """Full right-hand side: policy arrivals plus service drift."""
-    h = _as_h_batch(h)
-    return _ARRIVALS[model.kind](model, h) + service_drift(model.service, h)
+    h = _as_h(h, batch=True)
+    return arrival_drift(model, h) + _service(model._terms.nu, model._terms.advance, h)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +472,7 @@ def integrate(
     is a step size above the event-rate bound).  ``h0`` may carry leading
     batch axes to integrate many trajectories in lockstep.
     """
-    h = np.array(_as_h_batch(h0), dtype=float, copy=True)
+    h = np.array(_as_h(h0, batch=True), dtype=float, copy=True)
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T!r}")
     bound = step_bound(model)
@@ -514,14 +497,11 @@ def integrate(
 
 
 def _require_valid(h, t):
-    flat = h.reshape((-1,) + h.shape[-2:])
-    for idx in range(flat.shape[0]):
-        report = state_space_report(flat[idx], tol=1e-8)
-        if not report.ok:
-            shown = ", ".join(report.violations[:5])
-            raise IntegrationError(
-                f"state left the valid polytope at t={t:.6g}: {shown}"
-            )
+    ok = ~np.any([bad.any(axis=(-2, -1)) for _, bad in _violations(h, 1e-8)], axis=0)
+    if not ok.all():
+        first = np.unravel_index(np.argmin(ok), ok.shape)
+        shown = ", ".join(state_space_report(h[first], tol=1e-8).violations[:5])
+        raise IntegrationError(f"state left the valid polytope at t={t:.6g}: {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +559,7 @@ def fixed_point(
     residual_tol: float = FIXED_POINT_RESIDUAL,
     newton_max: int = 200,
 ) -> FixedPointResult:
-    """Locate the fixed point by pseudo-transient continuation from empty.
+    """Locate the fixed point by pseudo-transient continuation.
 
     Each step solves (I/tau - J) delta = f(h) and moves to h + delta: a
     backward-Euler step of pseudo-time tau along the ODE, with J the
@@ -594,12 +574,14 @@ def fixed_point(
     Once the residual is at most ``residual_tol`` one more plain Newton
     step polishes pi down to rounding level; it counts as an ordinary
     step.  ``newton_max`` bounds the steps taken, accepted or rejected.
-    Stable loads take about 8 to 26; in an overloaded model the drift stalls
-    while the queues fill level by level, at one to two steps a level.  The
-    returned pi has residual at most ``residual_tol`` and passes
-    ``state_space_report`` at its default tolerance.  With ``B=None`` the
-    buffer doubles from 16, each size solved from empty, until the top
-    level's tail mass drops below 1e-10, emulating an infinite buffer.
+    Stable loads start from the empty state and take about 8 to 26 steps.
+    Overloaded models (lam max(K, 1) >= 1) start from the full state, next
+    to their nearly full fixed point: from empty their queues would fill
+    level by level at one to two steps a level.  The returned pi has
+    residual at most ``residual_tol`` and passes ``state_space_report`` at
+    its default tolerance.  With ``B=None`` the buffer doubles from 16,
+    each size solved afresh, until the top level's tail mass drops below
+    1e-10, emulating an infinite buffer.
     Raises FixedPointError (with the residual history) when tau falls
     below 1e-9 or the steps run out, which in practice flags loads at
     the edge of stability.
@@ -625,7 +607,8 @@ def fixed_point(
     B, n = model.B, model.n
     size = B * n
     eye = np.eye(size)
-    h = zero_state(B, n).h
+    overloaded = model.lam * model._terms.K >= 1
+    h = (full_state if overloaded else zero_state)(B, n).h
     fval = drift(model, h)
     sup = float(np.max(np.abs(fval)))
     history = [sup]
@@ -745,7 +728,7 @@ def lyapunov_rates(model: PolicyModel, h: StateLike, L: int = 1):
         raise ValueError(f"need 1 <= L <= B, got L={L}")
     nu = model.service.completion_rates
     d_phase = _phase_diffs(arr)
-    f = _ARRIVALS[model.kind](model, arr)
+    f = arrival_drift(model, arr)
     dz1 = float(f[L - 1 :, 0].sum() - np.dot(d_phase[L - 1, :], nu))
     dz2 = float(-arr[0, 0] + np.dot(d_phase[0, :], nu))
     return dz1, dz2
@@ -776,8 +759,8 @@ def monotonicity_report(
     gives the first sampled violation time and the worst margin seen
     (most negative componentwise or sequence-functional gap).
     """
-    a = _as_h_batch(lo)
-    b = _as_h_batch(hi)
+    a = _as_h(lo, batch=True)
+    b = _as_h(hi, batch=True)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     ok0, _, dp0 = _leq_arrays(a, b, tol)

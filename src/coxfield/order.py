@@ -103,12 +103,14 @@ class LeqReport:
 StateLike = Union[MeanFieldState, np.ndarray]
 
 
-def _as_h(state: StateLike) -> np.ndarray:
+def _as_h(state: StateLike, batch: bool = False) -> np.ndarray:
+    """The (B, n) array of a state; ``batch`` also admits stacks of them."""
     if isinstance(state, MeanFieldState):
         return state.h
     h = np.asarray(state, dtype=float)
-    if h.ndim != 2:
-        raise ValueError(f"state must be a (B, n) array, got shape {h.shape}")
+    if h.ndim < 2 or (h.ndim > 2 and not batch):
+        shape = "(B, n) array or a stack of them" if batch else "(B, n) array"
+        raise ValueError(f"state must be a {shape}, got shape {h.shape}")
     return h
 
 
@@ -122,6 +124,21 @@ def full_state(B: int, n: int) -> MeanFieldState:
     return MeanFieldState(np.ones((B, n)))
 
 
+def _violations(h: np.ndarray, tol: float) -> tuple:
+    """The four inequality families as (name, mask) pairs over leading axes.
+
+    A mask is True where the inequality anchored at that 0-based (level,
+    phase) cell fails by more than ``tol``.
+    """
+    gap = (h[..., :-1, :-1] + h[..., 1:, 1:]) - (h[..., 1:, :-1] + h[..., :-1, 1:])
+    return (
+        ("range", (h < -tol) | (h > 1.0 + tol)),
+        ("phase monotonicity", h[..., :, 1:] > h[..., :, :-1] + tol),
+        ("level monotonicity", h[..., 1:, :] > h[..., :-1, :] + tol),
+        ("supermodularity", gap < -tol),
+    )
+
+
 def state_space_report(state: StateLike, tol: float = OMEGA_TOL) -> StateSpaceReport:
     """Check the four inequality families defining valid states.
 
@@ -129,25 +146,13 @@ def state_space_report(state: StateLike, tol: float = OMEGA_TOL) -> StateSpaceRe
     and the 1-based (level, phase) anchor, e.g. "phase monotonicity at
     (1, 1)" when h_{1,2} > h_{1,1}.
     """
-    h = _as_h(state)
-    B, n = h.shape
-    violations = []
-
-    bad = np.argwhere((h < -tol) | (h > 1.0 + tol))
-    violations += [f"range at ({l + 1}, {i + 1})" for l, i in bad]
-
-    if n > 1:
-        bad = np.argwhere(h[:, 1:] > h[:, :-1] + tol)
-        violations += [f"phase monotonicity at ({l + 1}, {i + 1})" for l, i in bad]
-    if B > 1:
-        bad = np.argwhere(h[1:, :] > h[:-1, :] + tol)
-        violations += [f"level monotonicity at ({l + 1}, {i + 1})" for l, i in bad]
-    if B > 1 and n > 1:
-        gap = (h[:-1, :-1] + h[1:, 1:]) - (h[1:, :-1] + h[:-1, 1:])
-        bad = np.argwhere(gap < -tol)
-        violations += [f"supermodularity at ({l + 1}, {i + 1})" for l, i in bad]
-
-    return StateSpaceReport(not violations, tuple(violations))
+    violations = tuple(
+        f"{name} at ({l + 1}, {i + 1})"
+        for name, bad in _violations(_as_h(state), tol)
+        if bad.any()
+        for l, i in np.argwhere(bad)
+    )
+    return StateSpaceReport(not violations, violations)
 
 
 def in_state_space(state: StateLike, tol: float = OMEGA_TOL) -> bool:

@@ -42,6 +42,10 @@ from .order import StateLike, _as_h, _tail_sums
 
 _BLOCK = 1 << 16
 
+#: Largest accepted model.rate_bound * N * horizon, which bounds the events
+#: of one replication (1e9 is about half an hour at 0.5 M events/s)
+MAX_EVENTS = 1e9
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -68,6 +72,9 @@ class SimConfig:
             raise ValueError(f"need replications >= 1, got {self.replications}")
         if not math.isfinite(self.horizon):
             raise ValueError(f"need a finite horizon, got {self.horizon}")
+        events = self.model.rate_bound * self.N * self.horizon
+        if events > MAX_EVENTS:
+            raise ValueError(f"expected events {events:.3g} exceed {MAX_EVENTS:.0e}")
         warm = self.resolved_warmup
         if not 0 <= warm < self.horizon:
             raise ValueError(

@@ -232,6 +232,16 @@ def test_simulate_rejects_absurd_cluster(tmp_path):
     assert "'N'" in load(tmp_path, "manifest.json")["error"]
 
 
+def test_simulate_rejects_huge_event_count(tmp_path):
+    # a clock step below the float resolution of t never reaches the horizon
+    config = {"model": {"policy": "jsq", "lambda": 1e300, "d": 2, "B": 4, "service": HYPER},
+              "N": 5, "horizon": 1.0, "warmup": 0.5}
+    src = write(tmp_path / "sim.json", config)
+    with pytest.warns(UserWarning, match="unstable"):
+        assert main(["simulate", src, "--out", str(tmp_path)]) == 1
+    assert "expected events" in load(tmp_path, "manifest.json")["error"]
+
+
 def test_fixed_point_rejects_absurd_choice_count(tmp_path):
     # the jsq drift sums d terms: reject before solving
     src = model_file(tmp_path, d=1e300)

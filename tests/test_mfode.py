@@ -137,11 +137,11 @@ def test_drift_matches_naive_loops_more_phases(rng):
 
 
 def test_first_phase_drift_sums_telescope(rng, balanced_service):
-    from coxfield.mfode import _ARRIVALS
+    from coxfield.mfode import arrival_drift
 
     for model in models_for(balanced_service, B=7):
         h = cf.random_state(7, 2, rng).h
-        f = _ARRIVALS[model.kind](model, h)
+        f = arrival_drift(model, h)
         hB = h[-1, 0]
         if model.kind == "jsq":
             want = model.lam * (1 - hB**model.d)
@@ -150,6 +150,18 @@ def test_first_phase_drift_sums_telescope(rng, balanced_service):
         else:
             want = model.lam * (model.K - cf.batch_overflow(hB, model.K, model.d))
         assert f[:, 0].sum() == pytest.approx(want, abs=1e-13)
+
+
+def test_jsq_and_local_arrivals_are_single_job_batches(rng):
+    service = cf.random_coxian_decreasing(np.random.default_rng(2), max_phases=3)
+    states = np.stack([cf.random_state(6, service.n, rng).h for _ in range(4)])
+    for d in (1, 2, 3, 5):
+        jsq = cf.PolicyModel(kind="jsq", lam=0.6, service=service, B=6, d=d)
+        batch = cf.PolicyModel(kind="batchjsq", lam=0.6, service=service, B=6, d=d, K=1)
+        assert np.array_equal(drift(jsq, states), drift(batch, states))
+    jsq = cf.PolicyModel(kind="jsq", lam=0.6, service=service, B=6, d=1)
+    local = cf.PolicyModel(kind="pullpush", lam=0.6, service=service, B=6, r=0.0)
+    assert np.array_equal(drift(jsq, states), drift(local, states))
 
 
 def test_drift_vanishes_on_empty_and_conserves_mass(balanced_service):
@@ -294,6 +306,15 @@ def test_trajectory_shape_and_t0(balanced_service, rng):
     assert single.times.shape == (1,) and np.array_equal(single.final, h0.h)
 
 
+def test_integrate_rejects_invalid_stack_member(balanced_service, rng):
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=4, d=2)
+    stack = np.stack([cf.random_state(4, 2, rng).h for _ in range(6)]).reshape(2, 3, 4, 2)
+    cf.integrate(model, stack, 0.5, samples=1)
+    stack[1, 2, 3, 0] = 0.9  # above level 3
+    with pytest.raises(cf.IntegrationError, match="level monotonicity at \\(3, 1\\)"):
+        cf.integrate(model, stack, 0.5, samples=1)
+
+
 def test_integrate_rejects_large_step(balanced_service):
     model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=4, d=2)
     with pytest.raises(ValueError, match="stability bound"):
@@ -372,11 +393,26 @@ def test_fixed_point_auto_buffer_doubles(balanced_service):
     assert fp.stats.drift_calls > direct.stats.drift_calls
 
 
-def test_fixed_point_rejects_invalid_iterates(balanced_service):
-    with pytest.warns(UserWarning, match="unstable"):
-        model = cf.PolicyModel(kind="jsq", lam=1.2, service=balanced_service, B=20, d=2)
+def test_fixed_point_rejects_invalid_iterates():
+    # a stable load with a high-variance service (SCV about 10): from the
+    # empty state one continuation step overshoots the state space
+    service = cf.hyperexp_to_coxian(cf.HyperExponential((0.95, 0.05), (2.0, 2.0 / 21.0)))
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=service, B=20, d=2)
     fp = cf.fixed_point(model)
     assert fp.stats.rejected_steps >= 1
+    assert fp.residual <= 1e-12
+    assert np.abs(drift(model, fp.pi.h)).max() <= 1e-12
+    assert cf.state_space_report(fp.pi).ok
+
+
+@pytest.mark.parametrize("lam, B", [(1.2, 20), (3.0, 160)])
+def test_fixed_point_overloaded_starts_full(balanced_service, lam, B):
+    # from empty the queues would fill like a front, one or two levels a
+    # step (B=160 would need about 260); the full state is near the answer
+    with pytest.warns(UserWarning, match="unstable"):
+        model = cf.PolicyModel(kind="jsq", lam=lam, service=balanced_service, B=B, d=2)
+    fp = cf.fixed_point(model)
+    assert fp.newton_steps + fp.stats.rejected_steps <= 20
     assert fp.residual <= 1e-12
     assert np.abs(drift(model, fp.pi.h)).max() <= 1e-12
     assert cf.state_space_report(fp.pi).ok
