@@ -59,6 +59,7 @@ from .mfode import (
     FixedPointError,
     FixedPointResult,
     IntegrationError,
+    LyapunovReport,
     OrderPreservationReport,
     PolicyModel,
     StructureCheck,
@@ -73,6 +74,7 @@ from .mfode import (
     fixed_point_structure_residual,
     integrate,
     lyapunov_rates,
+    lyapunov_report,
     lyapunov_values,
     model_from_dict,
     model_to_dict,

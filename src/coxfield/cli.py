@@ -38,18 +38,15 @@ from .dist import (
 from .mfode import (
     FixedPointError,
     IntegrationError,
+    attraction_report,
     fixed_point,
     fixed_point_structure_residual,
     integrate,
-    lyapunov_rates,
-    lyapunov_values,
+    lyapunov_report,
     model_from_dict,
     model_to_dict,
-    attraction_report,
     monotonicity_report,
     _number_field,
-    _rk4,
-    step_bound,
 )
 from .order import (
     _as_h,
@@ -294,89 +291,46 @@ def _ordered_pair(rng, B, n, pick):
     return zero_state(B, n), random_state(B, n, rng)
 
 
-def _suite_monotone(args, rng):
-    model = model_from_dict(_load_json(args.model))
-    B = model.B or 10
-    model = model.with_buffer(B)
-    cases = []
-    for k in range(args.count):
-        lo, hi = _ordered_pair(rng, B, model.n, k % 3)
-        report = monotonicity_report(
-            model, lo, hi, args.T, samples=20, tol=args.tol or 1e-8
-        )
-        cases.append(
-            {
-                "ok": report.ok,
-                "min_margin": report.min_margin,
-                "violation_time": report.violation_time,
-            }
-        )
-    out = {
-        "suite": "monotone",
-        "model": model_to_dict(model),
-        "cases": cases,
-        "pass": all(c["ok"] for c in cases),
-    }
-    return out, {"model": model_to_dict(model)}
+def _random_starts(count, model, rng):
+    """A (count, B, n) stack of seeded random valid states."""
+    return np.stack([_as_h(random_state(model.B, model.n, rng)) for _ in range(count)])
 
 
-def _suite_attract(args, rng):
-    model = model_from_dict(_load_json(args.model))
-    B = model.B or 10
-    model = model.with_buffer(B)
-    starts = np.stack(
-        [_as_h(random_state(B, model.n, rng)) for _ in range(args.count)]
-    )
+def _suite_monotone(args, model, rng):
+    pairs = [_ordered_pair(rng, model.B, model.n, k % 3) for k in range(args.count)]
+    lo, hi = (np.stack([_as_h(p[side]) for p in pairs]) for side in (0, 1))
+    tol = args.tol or 1e-8
+    report = monotonicity_report(model, lo, hi, args.T, samples=20, tol=tol)
+    cases = [
+        {
+            "ok": bool(np.isnan(t)),
+            "min_margin": margin,
+            "violation_time": None if np.isnan(t) else t,
+        }
+        for margin, t in zip(report.pair_margins, report.pair_violation_times)
+    ]
+    return {"cases": cases, "pass": report.ok}
+
+
+def _suite_attract(args, model, rng):
+    starts = _random_starts(args.count, model, rng)
     report = attraction_report(model, starts, args.T, tol=args.tol or 1e-6)
-    out = {
-        "suite": "attract",
-        "model": model_to_dict(model),
+    return {
         "distances": report.distances,
         "max_distance": report.max_distance,
         "pairwise_max": report.pairwise_max,
         "pass": report.ok,
     }
-    return out, {"model": model_to_dict(model)}
 
 
-def _suite_lyapunov(args, rng):
-    model = model_from_dict(_load_json(args.model))
-    B = model.B or 10
-    model = model.with_buffer(B)
-    pi = fixed_point(model).pi
-    delta = min(5e-4, step_bound(model) / 4)
-    tol = args.tol or 1e-9
-    cases = []
-    for _ in range(args.count):
-        h = _as_h(upper_envelope(random_state(B, model.n, rng), pi))
-        traj = integrate(model, h, args.T, samples=10)
-        worst_rate = -np.inf
-        worst_fd = 0.0
-        for state in traj.states:
-            # central difference around the one-step image of the sample
-            mid = _rk4(model, state.copy(), delta, 1)
-            fwd = _rk4(model, mid.copy(), delta, 1)
-            dz1, dz2 = lyapunov_rates(model, mid)
-            fd = (
-                sum(lyapunov_values(fwd, model.service))
-                - sum(lyapunov_values(state, model.service))
-            ) / (2 * delta)
-            worst_rate = max(worst_rate, dz1 + dz2)
-            worst_fd = max(worst_fd, abs(fd - (dz1 + dz2)))
-        cases.append(
-            {
-                "max_rate": worst_rate,
-                "max_fd_gap": worst_fd,
-                "ok": worst_rate <= tol and worst_fd <= 1e-6,
-            }
-        )
-    out = {
-        "suite": "lyapunov",
-        "model": model_to_dict(model),
-        "cases": cases,
-        "pass": all(c["ok"] for c in cases),
-    }
-    return out, {"model": model_to_dict(model)}
+def _suite_lyapunov(args, model, rng):
+    starts = _random_starts(args.count, model, rng)
+    report = lyapunov_report(model, starts, args.T, tol=args.tol or 1e-9)
+    cases = [
+        {"max_rate": rate, "max_fd_gap": gap, "ok": ok}
+        for rate, gap, ok in zip(report.max_rates, report.max_fd_gaps, report.passed)
+    ]
+    return {"cases": cases, "pass": report.ok}
 
 
 def _suite_order_oracle(args, rng):
@@ -395,7 +349,6 @@ def _suite_order_oracle(args, rng):
         if got != want:
             cases.append({"case": k, "dp": got, "enumeration": want})
     out = {
-        "suite": "order-oracle",
         "B": B,
         "n": n,
         "count": args.count,
@@ -406,19 +359,28 @@ def _suite_order_oracle(args, rng):
     return out, {"B": B, "n": n, "count": args.count}
 
 
-_SUITES = {
+#: suites run on the --model file, with B=10 when it sets none
+_MODEL_SUITES = {
     "monotone": _suite_monotone,
     "attract": _suite_attract,
     "lyapunov": _suite_lyapunov,
-    "order-oracle": _suite_order_oracle,
 }
 
 
 def _cmd_verify(args):
-    if args.suite != "order-oracle" and not args.model:
-        raise SchemaError(f"suite {args.suite!r} needs --model")
+    if args.count < 1:
+        raise SchemaError(f"--count must be at least 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
-    out, inputs = _SUITES[args.suite](args, rng)
+    if args.suite == "order-oracle":
+        result, inputs = _suite_order_oracle(args, rng)
+    elif not args.model:
+        raise SchemaError(f"suite {args.suite!r} needs --model")
+    else:
+        model = model_from_dict(_load_json(args.model))
+        model = model.with_buffer(model.B or 10)
+        inputs = {"model": model_to_dict(model)}
+        result = {**inputs, **_MODEL_SUITES[args.suite](args, model, rng)}
+    out = {"suite": args.suite, **result}
     path = os.path.join(args.out, f"verify_{args.suite.replace('-', '_')}.json")
     _write_json(path, out)
     return (0 if out["pass"] else 1), inputs, [path]
@@ -469,7 +431,7 @@ def _build_parser():
     p.add_argument("config", help="simulation config JSON file")
 
     p = sub.add_parser("verify", parents=[common], help="randomized structure checks")
-    p.add_argument("suite", choices=sorted(_SUITES))
+    p.add_argument("suite", choices=sorted([*_MODEL_SUITES, "order-oracle"]))
     p.add_argument("--model", default=None, help="model JSON file")
     p.add_argument("--count", type=int, default=None, help="number of cases")
     p.add_argument("--T", type=float, default=None, help="integration horizon")

@@ -26,13 +26,18 @@ the quadrature rule and the service rates are built once per model.
 Integration is classic fixed-step RK4 (drifts are smooth polynomials in
 h; determinism matters more than adaptivity here).  Fixed points are
 found by pseudo-transient continuation from the empty state, or from the
-full state when the load lam max(K, 1) is at least 1: backward-
+full state when the load lam K is at least 1: backward-
 Euler steps (I/tau - J) delta = f(h) on the full (B n)-dimensional drift,
 with J a one-shot batched finite-difference Jacobian and the pseudo-time
 step tau growing as the drift falls, until the step is plain Newton.
 The fixed point is unique and attracts every valid state, so a valid
 state with zero drift is it; iterates that leave the state space are
 rejected with a smaller tau rather than clipped.
+
+The certificates (monotonicity, attraction and Lyapunov reports) are
+computed here only: each takes a stack of starts, integrates it as a
+stack (in chunks of at most STACK_FLOATS trajectory floats) and reports
+per start, and each ``verify`` suite makes one call.
 """
 
 import math
@@ -40,7 +45,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,12 +68,13 @@ from .order import (
     _phase_diffs,
     _violations,
     full_state,
-    leq,
     state_space_report,
+    upper_envelope,
     zero_state,
 )
 
-POLICY_KINDS = ("jsq", "pullpush", "batchjsq")
+#: the optional model fields each policy reads; it ignores the others
+POLICY_FIELDS = {"jsq": ("d",), "pullpush": ("r",), "batchjsq": ("d", "K")}
 
 #: sup-norm drift at or below which continuation steps become plain Newton
 PRE_NEWTON_DRIFT = 1e-8
@@ -103,11 +109,12 @@ class PolicyModel:
     """A load-balancing policy with its rates and service distribution.
 
     ``kind`` is one of "jsq" (needs d), "pullpush" (needs r), "batchjsq"
-    (needs K <= d).  ``service`` must have unit mean and nonincreasing
-    completion rates; both are structural requirements of the ODE family
-    and violations raise.  Instability (lam >= 1, or lam*K >= 1 for
-    batches) only warns: with a finite buffer the dynamics stay well
-    defined.  ``B=None`` requests automatic buffer growth in fixed_point.
+    (needs K <= d); other fields are ignored.  ``service`` must have unit
+    mean and nonincreasing completion rates; both are structural
+    requirements of the ODE family and violations raise.  Instability
+    (lam >= 1, or lam*K >= 1 for batches) only warns: with a finite buffer
+    the dynamics stay well defined.  ``B=None`` requests automatic buffer
+    growth in fixed_point.
     """
 
     kind: str
@@ -119,7 +126,7 @@ class PolicyModel:
     r: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
+        if self.kind not in POLICY_FIELDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError(f"arrival rate must be positive, got {self.lam!r}")
@@ -162,10 +169,24 @@ class PolicyModel:
         return self.service.n
 
     @property
+    def arrival(self) -> tuple:
+        """The policy's (K, d, pull); fields it does not own are never read."""
+        if self.kind == "jsq":
+            return 1, self.d, 0.0
+        if self.kind == "pullpush":
+            return 1, 1, self.r
+        return self.K, self.d, 0.0
+
+    @property
+    def load(self) -> float:
+        """Jobs arriving per server per unit time, lam K; stable below 1."""
+        return self.lam * self.arrival[0]
+
+    @property
     def rate_bound(self) -> float:
         """Total event-rate scale governing the integrator step bound."""
-        choice = max(self.d or 1, self.K or 1, 1)
-        return self.lam * choice + float(np.max(self.service.rates)) + (self.r or 0.0)
+        K, d, pull = self.arrival
+        return self.lam * max(d, K) + float(np.max(self.service.rates)) + pull
 
     def with_buffer(self, B: int) -> "PolicyModel":
         return replace(self, B=B)
@@ -183,13 +204,7 @@ def model_to_dict(model: PolicyModel) -> dict:
         "B": model.B,
         "service": distribution_to_dict(model.service),
     }
-    if model.kind in ("jsq", "batchjsq"):
-        out["d"] = model.d
-    if model.kind == "batchjsq":
-        out["K"] = model.K
-    if model.kind == "pullpush":
-        out["r"] = model.r
-    return out
+    return out | {key: getattr(model, key) for key in POLICY_FIELDS[model.kind]}
 
 
 #: Largest accepted value of each integer field of the model and
@@ -342,17 +357,14 @@ def batch_overflow_slope(x1, x2, K: int, d: int):
 class _DriftTerms:
     """Drift constants of one model, built once by ``PolicyModel._terms``.
 
-    Arrivals follow the overflow polynomial of (K, d): jsq is (1, d) and
-    pullpush's local arrivals are (1, 1).  ``pull`` is the probe rate r of
-    pullpush and 0 otherwise.  ``nu`` are the completion rates and
+    Arrivals follow the overflow polynomial of ``model.arrival``'s (K, d)
+    and ``pull`` is its probe rate.  ``nu`` are the completion rates and
     ``advance`` the phase-advance rates mu_i p_i.
     """
 
     def __init__(self, model: PolicyModel):
-        kd = {"jsq": (1, model.d), "pullpush": (1, 1)}
-        self.K, d = kd.get(model.kind, (model.K, model.d))
+        self.K, d, self.pull = model.arrival
         self.lam = model.lam
-        self.pull = model.r if model.kind == "pullpush" else 0.0
         self.overflow = _overflow_terms(self.K, d)
         self.prime = _prime_terms(self.K, d)
         self.nodes, self.weights = _gl_rule(d)
@@ -371,13 +383,6 @@ def _service(nu, advance, h):
     out[..., 0] = -(cells @ nu)
     out[..., 1:] = advance * d_phase[..., :-1] - tail[..., 1:]
     return out
-
-
-def service_drift(service: CoxianDistribution, h: StateLike) -> np.ndarray:
-    """Completion and phase-advance drift, shared by every policy."""
-    rates = np.asarray(service.rates, dtype=float)
-    conts = np.asarray(service.continuations, dtype=float)
-    return _service(rates * (1 - conts), rates[:-1] * conts[:-1], _as_h(h, batch=True))
 
 
 def arrival_drift(model: PolicyModel, h: StateLike) -> np.ndarray:
@@ -575,7 +580,7 @@ def fixed_point(
     step polishes pi down to rounding level; it counts as an ordinary
     step.  ``newton_max`` bounds the steps taken, accepted or rejected.
     Stable loads start from the empty state and take about 8 to 26 steps.
-    Overloaded models (lam max(K, 1) >= 1) start from the full state, next
+    Overloaded models (``model.load`` >= 1) start from the full state, next
     to their nearly full fixed point: from empty their queues would fill
     level by level at one to two steps a level.  The returned pi has
     residual at most ``residual_tol`` and passes ``state_space_report`` at
@@ -607,8 +612,7 @@ def fixed_point(
     B, n = model.B, model.n
     size = B * n
     eye = np.eye(size)
-    overloaded = model.lam * model._terms.K >= 1
-    h = (full_state if overloaded else zero_state)(B, n).h
+    h = (full_state if model.load >= 1 else zero_state)(B, n).h
     fval = drift(model, h)
     sup = float(np.max(np.abs(fval)))
     history = [sup]
@@ -702,7 +706,32 @@ def fixed_point_structure_residual(
 
 
 # ---------------------------------------------------------------------------
-# diagnostics: Lyapunov functionals, order preservation, attraction
+# certificates: Lyapunov functionals, order preservation, attraction
+
+
+def _dots(rows, vec):
+    """rows @ vec, one np.dot per row: a batched matmul may round otherwise."""
+    flat = rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])
+    return np.array([np.dot(row, vec) for row in flat]).reshape(rows.shape[:-1])[()]
+
+
+#: floats one stacked trajectory may hold: the reports integrate larger
+#: stacks chunk by chunk (a start's numbers do not depend on its chunk),
+#: so their memory stays bounded however many starts they are given
+STACK_FLOATS = 1 << 21
+
+
+def _chunks(count: int, floats_per_start: int) -> list:
+    """Consecutive slices of ``count`` starts, each within STACK_FLOATS."""
+    size = max(1, STACK_FLOATS // floats_per_start)
+    return [slice(k, k + size) for k in range(0, count, size)]
+
+
+def _starts_and_fixed_point(model: PolicyModel, starts) -> tuple:
+    """``starts`` as an (M, B, n) stack, and the fixed point for buffer B."""
+    starts = np.asarray(starts, dtype=float).reshape((-1,) + np.shape(starts)[-2:])
+    fixed = model if model.B is not None else model.with_buffer(starts.shape[-2])
+    return starts, fixed_point(fixed)
 
 
 def lyapunov_values(h: StateLike, service: CoxianDistribution, L: int = 1):
@@ -710,37 +739,94 @@ def lyapunov_values(h: StateLike, service: CoxianDistribution, L: int = 1):
 
     Returns (sum_{l>=L} h_{l,1}, sum_{i>=2} h_{1,i} (R_i - R_{i-1})) with
     R the expected remaining service times per phase.  Both are
-    nonnegative whenever completion rates are nonincreasing.
+    nonnegative whenever completion rates are nonincreasing.  Over leading
+    batch axes of ``h`` both are arrays; for one state, floats.
     """
-    arr = _as_h(h)
-    if not 1 <= L <= arr.shape[0]:
+    arr = _as_h(h, batch=True)
+    if not 1 <= L <= arr.shape[-2]:
         raise ValueError(f"need 1 <= L <= B, got L={L}")
     rem = remaining_service_times(service)
-    z1 = float(arr[L - 1 :, 0].sum())
-    z2 = float(np.dot(arr[0, 1:], np.diff(rem)))
+    z1 = arr[..., L - 1 :, 0].sum(axis=-1)
+    z2 = _dots(arr[..., 0, 1:], np.diff(rem))
     return z1, z2
 
 
 def lyapunov_rates(model: PolicyModel, h: StateLike, L: int = 1):
-    """Closed-form time derivatives of the two Lyapunov functionals."""
-    arr = _as_h(h)
-    if not 1 <= L <= arr.shape[0]:
+    """Closed-form time derivatives of the two Lyapunov functionals.
+
+    Broadcasts over leading batch axes of ``h`` like ``lyapunov_values``.
+    """
+    arr = _as_h(h, batch=True)
+    if not 1 <= L <= arr.shape[-2]:
         raise ValueError(f"need 1 <= L <= B, got L={L}")
-    nu = model.service.completion_rates
+    nu = np.asarray(model.service.completion_rates)
     d_phase = _phase_diffs(arr)
     f = arrival_drift(model, arr)
-    dz1 = float(f[L - 1 :, 0].sum() - np.dot(d_phase[L - 1, :], nu))
-    dz2 = float(-arr[0, 0] + np.dot(d_phase[0, :], nu))
+    dz1 = f[..., L - 1 :, 0].sum(axis=-1) - _dots(d_phase[..., L - 1, :], nu)
+    dz2 = -arr[..., 0, 0] + _dots(d_phase[..., 0, :], nu)
     return dz1, dz2
+
+
+#: largest accepted gap between a Lyapunov rate and its finite difference
+LYAPUNOV_FD_TOL = 1e-6
+
+#: sampled times per flow at which ``lyapunov_report`` checks the rates
+LYAPUNOV_SAMPLES = 10
+
+
+@dataclass(frozen=True)
+class LyapunovReport:
+    """Per start: worst rate dz1 + dz2, worst finite-difference gap, pass."""
+
+    max_rates: np.ndarray
+    max_fd_gaps: np.ndarray
+    passed: np.ndarray
+    fixed_point: FixedPointResult
+    ok: bool
+
+
+def lyapunov_report(
+    model: PolicyModel, starts, T: float, tol: float = 1e-9
+) -> LyapunovReport:
+    """Check that the Lyapunov functionals decrease along flows above pi.
+
+    Each of the (M, B, n) ``starts`` is lifted to its upper envelope with
+    pi, and the stack is integrated to T, as ``verify lyapunov`` does.  At
+    each of the LYAPUNOV_SAMPLES + 1 samples h, the rate dz1 + dz2 (L = 1)
+    one RK4 step of delta = min(5e-4, step_bound / 4) ahead is compared
+    with the central difference of z1 + z2 between h and two steps ahead.
+    A start passes when its worst rate is at most ``tol`` and its worst
+    gap at most LYAPUNOV_FD_TOL.
+    """
+    starts, fp = _starts_and_fixed_point(model, starts)
+    delta = min(5e-4, step_bound(model) / 4)
+    rates, gaps = [], []
+    for part in _chunks(len(starts), (LYAPUNOV_SAMPLES + 1) * starts[0].size):
+        top = upper_envelope(starts[part], fp.pi)
+        states = integrate(model, top, T, samples=LYAPUNOV_SAMPLES).states
+        mid = _rk4(model, states, delta, 1)
+        fwd = _rk4(model, mid, delta, 1)
+        rate = np.add(*lyapunov_rates(model, mid))
+        z = [np.add(*lyapunov_values(h, model.service)) for h in (states, fwd)]
+        fd = (z[1] - z[0]) / (2 * delta)
+        rates.append(rate.max(axis=0))
+        gaps.append(np.abs(fd - rate).max(axis=0))
+    max_rates, gaps = np.concatenate(rates), np.concatenate(gaps)
+    passed = (max_rates <= tol) & (gaps <= LYAPUNOV_FD_TOL)
+    return LyapunovReport(max_rates, gaps, passed, fp, bool(passed.all()))
 
 
 @dataclass(frozen=True)
 class OrderPreservationReport:
+    """Order along the flow, overall and per pair (violation time NaN if none)."""
+
     ok: bool
     times: np.ndarray
     violation_time: Optional[float]
     violation_pair: Optional[int]
     min_margin: float
+    pair_margins: np.ndarray
+    pair_violation_times: np.ndarray
 
 
 def monotonicity_report(
@@ -748,36 +834,41 @@ def monotonicity_report(
     lo: StateLike,
     hi: StateLike,
     T: float,
-    dt: Optional[float] = None,
     samples: int = 50,
     tol: float = 1e-8,
 ) -> OrderPreservationReport:
     """Integrate an ordered pair (or stacks of pairs) and track the order.
 
     ``lo`` and ``hi`` may carry leading batch axes (pairs are matched
-    elementwise).  Inputs must already be ordered at t=0; the report
-    gives the first sampled violation time and the worst margin seen
-    (most negative componentwise or sequence-functional gap).
+    elementwise) and are integrated as one stack (in chunks of at most
+    STACK_FLOATS trajectory floats), as ``verify monotone`` does.  Inputs
+    must be ordered at t=0; the margin is the most negative
+    componentwise or sequence-functional gap, and ``violation_pair`` a
+    flat index into the stack.
     """
-    a = _as_h(lo, batch=True)
-    b = _as_h(hi, batch=True)
+    a, b = _as_h(lo, batch=True), _as_h(hi, batch=True)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    ok0, _, dp0 = _leq_arrays(a, b, tol)
-    if not np.all(ok0):
+    if not np.all(_leq_arrays(a, b, tol)[0]):
         raise ValueError("initial states are not ordered")
-    stacked = np.stack([a, b], axis=0)
-    traj = integrate(model, stacked, T, dt=dt, samples=samples)
-    lo_t, hi_t = traj.states[:, 0], traj.states[:, 1]
-    ok, _, dp_min = _leq_arrays(lo_t, hi_t, tol)
-    comp_min = (hi_t - lo_t).min(axis=(-2, -1))
-    margin = float(min(comp_min.min(), dp_min.min()))
-    if np.all(ok):
-        return OrderPreservationReport(True, traj.times, None, None, margin)
-    flat = ok.reshape(ok.shape[0], -1)
-    bad_t, bad_pair = np.argwhere(~flat)[0]
+    pairs = a.shape[:-2]
+    a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
+    margins, first = [], []
+    for part in _chunks(len(a), 2 * (samples + 1) * a[0].size):
+        traj = integrate(model, np.stack([a[part], b[part]]), T, samples=samples)
+        lo_t, hi_t = traj.states[:, 0], traj.states[:, 1]
+        ordered, _, dp_min = _leq_arrays(lo_t, hi_t, tol)
+        gap = np.minimum((hi_t - lo_t).min(axis=(-2, -1)), dp_min)
+        margins.append(gap.min(axis=0))
+        bad = ~ordered
+        first.append(np.where(bad.any(axis=0), traj.times[bad.argmax(axis=0)], np.nan))
+    margins, first = np.concatenate(margins), np.concatenate(first)
+    ok = bool(np.isnan(first).all())
+    when = None if ok else float(np.nanmin(first))
+    pair = None if ok else int(np.flatnonzero(first == when)[0])
     return OrderPreservationReport(
-        False, traj.times, float(traj.times[bad_t]), int(bad_pair), margin
+        ok, traj.times, when, pair, float(margins.min()),
+        margins.reshape(pairs), first.reshape(pairs),
     )
 
 
@@ -795,23 +886,20 @@ def attraction_report(
     starts: np.ndarray,
     T: float,
     tol: float = 1e-6,
-    dt: Optional[float] = None,
 ) -> AttractionReport:
     """Integrate many starts to time T and measure convergence to pi.
 
-    ``starts`` has shape (M, B, n).  Reports per-start sup distances to
-    the solver fixed point and the largest pairwise endpoint distance
-    (small values evidence a unique attractor).
+    ``starts`` has shape (M, B, n) and is integrated as one stack.
+    Reports per-start sup distances to the solver fixed point and the
+    largest pairwise endpoint distance (small values evidence a unique
+    attractor).
     """
-    starts = np.asarray(starts, dtype=float)
-    if starts.ndim == 2:
-        starts = starts[None]
-    fp = fixed_point(model if model.B is not None else model.with_buffer(starts.shape[-2]))
-    traj = integrate(model, starts, T, dt=dt, samples=1)
+    starts, fp = _starts_and_fixed_point(model, starts)
+    traj = integrate(model, starts, T, samples=1)
     ends = traj.final
     dists = np.max(np.abs(ends - fp.pi.h), axis=(-2, -1))
-    flat = ends.reshape(ends.shape[0], -1)
-    pairwise = np.max(np.abs(flat[:, None, :] - flat[None, :, :]), axis=-1)
+    # the largest |x_i - x_j| over pairs is max - min, also after rounding
+    pairwise = np.ptp(ends, axis=0)
     return AttractionReport(
         distances=dists,
         max_distance=float(dists.max()),

@@ -249,6 +249,17 @@ def _suffix_min(a: np.ndarray) -> np.ndarray:
     return np.flip(np.minimum.accumulate(np.flip(a, axis=-1), axis=-1), axis=-1)
 
 
+def _suffix_argmin(a: np.ndarray):
+    """Suffix minima of a and the largest index attaining each (-1 while inf)."""
+    vals, idx = np.full(len(a), np.inf), np.full(len(a), -1)
+    best, best_idx = np.inf, -1
+    for l in range(len(a) - 1, -1, -1):
+        if a[l] < best:
+            best, best_idx = a[l], l
+        vals[l], idx[l] = best, best_idx
+    return vals, idx
+
+
 def _leq_arrays(h: np.ndarray, ht: np.ndarray, tol: float):
     """Batched order decision on (..., B, n) stacks.
 
@@ -290,77 +301,64 @@ def leq_report(h: StateLike, other: StateLike, tol: float = ORDER_TOL) -> LeqRep
     The witness minimizes the functional gap over admissible sequences
     (nonincreasing, first level strictly above the last); constant
     sequences are tracked separately so the witness is always admissible.
+    ``min_gap`` is the smaller of the two tracks' minima, which equals
+    ``leq``'s one-track DP value since rounding is monotone.
     """
     a, b = _as_h(h), _as_h(other)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    ok, comp_ok, dp_min = _leq_arrays(a, b, tol)
     B, n = a.shape
+    comp_ok = bool(np.all(b >= a - tol))
     if n == 1:
-        return LeqReport(bool(ok), bool(comp_ok), float(dp_min), math.inf, None)
+        return LeqReport(comp_ok, comp_ok, math.inf, math.inf, None)
 
     d = _phase_diffs(b) - _phase_diffs(a)
     # two-track DP: E = best prefix that stayed constant, N = best prefix
-    # that already dropped a level; only N-prefixes can end admissibly
+    # that already dropped a level; only N-prefixes can end admissibly.
+    # Per stage and level: whether the best came from N, and from which level
     e_val = d[:, 0].copy()
     n_val = np.full(B, np.inf)
-    origins = []
+    from_n, preds = [], []
     for i in range(1, n):
-        suf_n_val = np.empty(B)
-        suf_n_idx = np.empty(B, dtype=int)
-        best, best_idx = np.inf, -1
-        for l in range(B - 1, -1, -1):
-            if n_val[l] < best:
-                best, best_idx = n_val[l], l
-            suf_n_val[l], suf_n_idx[l] = best, best_idx
-        drop_val = np.full(B, np.inf)
-        drop_idx = np.full(B, -1, dtype=int)
-        best, best_idx = np.inf, -1
-        for l in range(B - 1, -1, -1):
-            drop_val[l], drop_idx[l] = best, best_idx
-            if e_val[l] < best:
-                best, best_idx = e_val[l], l
-        take_n = suf_n_val <= drop_val
-        stage = np.empty((B, 2), dtype=int)
-        stage[:, 0] = np.where(take_n, 1, 0)  # 1: from N, 0: dropped from E
-        stage[:, 1] = np.where(take_n, suf_n_idx, drop_idx)
-        origins.append(stage)
-        n_val = d[:, i] + np.where(take_n, suf_n_val, drop_val)
+        suf_val, suf_idx = _suffix_argmin(n_val)
+        drop_val, drop_idx = _suffix_argmin(np.append(e_val[1:], np.inf))
+        take_n = suf_val <= drop_val
+        from_n.append(take_n)
+        preds.append(np.where(take_n, suf_idx, drop_idx + (drop_idx >= 0)))
+        n_val = d[:, i] + np.where(take_n, suf_val, drop_val)
         e_val = e_val + d[:, i]
 
     end = int(np.argmin(n_val))
     nonconst_min = float(n_val[end])
+    min_gap = float(np.minimum(e_val.min(), nonconst_min))
+    ok = comp_ok and min_gap >= -tol
     witness = None
-    if math.isfinite(nonconst_min):
-        seq = [0] * n
-        seq[n - 1] = end
-        level = end
-        for i in range(n - 1, 0, -1):
-            came_from_n, pred = origins[i - 1][level]
-            if came_from_n:
-                seq[i - 1] = pred
-                level = pred
-            else:
-                for j in range(i):
-                    seq[j] = pred
+    if nonconst_min < -tol:
+        seq = [end]  # levels from the last phase back
+        for i in range(n - 2, -1, -1):
+            level = preds[i][seq[-1]]
+            if not from_n[i][seq[-1]]:
+                seq += [level] * (i + 1)
                 break
-        witness_seq = tuple(int(l) + 1 for l in seq)
-        if nonconst_min < -tol:
-            witness = witness_seq
-    return LeqReport(bool(ok), bool(comp_ok), float(dp_min), nonconst_min, witness)
+            seq.append(level)
+        witness = tuple(int(l) + 1 for l in reversed(seq))
+    return LeqReport(ok, comp_ok, min_gap, nonconst_min, witness)
 
 
-def upper_envelope(h: StateLike, pi: StateLike) -> MeanFieldState:
+def upper_envelope(h: StateLike, pi: StateLike):
     """Common upper bound: every phase column equals max(h_{l,1}, pi_{l,1}).
 
     The result is a valid state above both inputs in the comparison order;
     each sequence functional telescopes to its value at the last level.
+    A stack of states ``h`` gives the (..., B, n) stack of their bounds
+    with the one state ``pi``; a single state gives a MeanFieldState.
     """
-    a, b = _as_h(h), _as_h(pi)
-    if a.shape != b.shape:
+    a, b = _as_h(h, batch=True), _as_h(pi)
+    if a.shape[-2:] != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    col = np.maximum(a[:, 0], b[:, 0])
-    return MeanFieldState(np.repeat(col[:, None], a.shape[1], axis=1))
+    col = np.maximum(a[..., :, 0], b[:, 0])
+    env = np.repeat(col[..., None], b.shape[1], axis=-1)
+    return MeanFieldState(env) if env.ndim == 2 else env
 
 
 def state_to_dict(state: StateLike) -> dict:

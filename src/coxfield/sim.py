@@ -51,9 +51,9 @@ MAX_EVENTS = 1e9
 class SimConfig:
     """A simulation request: model, cluster size, window, replications.
 
-    ``warmup=None`` applies max(100, 20/(1 - lam*max(K,1))) time units,
-    a rough multiple of the relaxation time; override it for loads close
-    to saturation.
+    ``warmup=None`` applies max(100, 20/(1 - model.load)) time units, a
+    rough multiple of the relaxation time; override it for loads close to
+    saturation.
     """
 
     model: PolicyModel
@@ -85,7 +85,7 @@ class SimConfig:
     def resolved_warmup(self) -> float:
         if self.warmup is not None:
             return float(self.warmup)
-        jobs = self.model.lam * max(self.model.K or 1, 1)
+        jobs = self.model.load
         if jobs < 1:
             return max(100.0, 20.0 / (1.0 - jobs))
         return 100.0
@@ -156,9 +156,7 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
     lam_total = model.lam * N
     kind = model.kind
     pullpush = kind == "pullpush"
-    probe_rate = float(model.r or 0.0)
-    d = model.d or 1
-    K = model.K or 1
+    K, d, probe_rate = model.arrival
     choices, rest = range(d), range(d - 1)
 
     qlen = [0] * N
@@ -411,18 +409,19 @@ class FixedPointComparison:
     half_width_max: float
 
 
+#: Gap to pi that is never significant: deep-tail entries of pi carry
+#: O(residual) solver error and the chain may never visit them (zero
+#: variance), so gaps below the solver's accuracy are no evidence.
+RESIDUAL_ALLOWANCE = 1e-10
+
+
 def compare_to_fixed_point(
-    estimate: StationaryEstimate,
-    pi: StateLike,
-    residual_allowance: float = 1e-10,
+    estimate: StationaryEstimate, pi: StateLike
 ) -> FixedPointComparison:
     """Sup distance to pi and the count of statistically significant gaps.
 
     An entry is counted when |h_bar - pi| exceeds 3 half-widths plus
-    ``residual_allowance``.  The allowance covers the solver's own
-    accuracy: deep-tail entries of pi carry O(residual) numerical error
-    and the chain may never visit them (zero variance), so differences
-    below the solver's certified accuracy are not evidence of mismatch.
+    RESIDUAL_ALLOWANCE.
     """
     target = _as_h(pi)
     if target.shape != estimate.h_bar.shape:
@@ -430,7 +429,7 @@ def compare_to_fixed_point(
             f"shape mismatch {target.shape} vs {estimate.h_bar.shape}"
         )
     gap = np.abs(estimate.h_bar - target)
-    excess = gap > 3.0 * estimate.half_width + residual_allowance
+    excess = gap > 3.0 * estimate.half_width + RESIDUAL_ALLOWANCE
     return FixedPointComparison(
         distance=float(gap.max()),
         excess_entries=int(excess.sum()),

@@ -367,3 +367,50 @@ def test_verify_monotone(tmp_path):
 def test_verify_needs_model(tmp_path):
     assert main(["verify", "monotone", "--out", str(tmp_path)]) == 2
     assert "model" in load(tmp_path, "manifest.json")["error"]
+
+
+def test_verify_rejects_empty_count(tmp_path):
+    args = ["verify", "monotone", "--model", model_file(tmp_path), "--count", "0",
+            "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "--count" in load(tmp_path, "manifest.json")["error"]
+
+
+def test_verify_attract(tmp_path):
+    args = ["verify", "attract", "--model", model_file(tmp_path), "--count", "4",
+            "--T", "150", "--out", str(tmp_path)]
+    assert main(args) == 0
+    out = load(tmp_path, "verify_attract.json")
+    assert out["suite"] == "attract" and out["model"]["B"] == 6
+    assert out["pass"] is True and len(out["distances"]) == 4
+    assert out["max_distance"] == max(out["distances"]) <= 1e-6
+
+
+def test_verify_lyapunov(tmp_path):
+    args = ["verify", "lyapunov", "--model", model_file(tmp_path), "--count", "3",
+            "--T", "4", "--out", str(tmp_path)]
+    assert main(args) == 0
+    out = load(tmp_path, "verify_lyapunov.json")
+    assert out["suite"] == "lyapunov" and out["pass"] is True
+    assert len(out["cases"]) == 3
+    assert all(c["ok"] and c["max_rate"] <= 1e-9 and c["max_fd_gap"] <= 1e-6
+               for c in out["cases"])
+
+
+def test_verify_monotone_matches_per_pair_reports(tmp_path):
+    from coxfield.cli import _ordered_pair
+
+    src = model_file(tmp_path, B=None)
+    args = ["verify", "monotone", "--model", src, "--count", "5", "--T", "3",
+            "--seed", "7", "--out", str(tmp_path)]
+    assert main(args) == 0
+    cases = load(tmp_path, "verify_monotone.json")["cases"]
+    model = cf.model_from_dict(json.loads((tmp_path / "model.json").read_text()))
+    model = model.with_buffer(10)
+    rng = np.random.default_rng(7)
+    for k, case in enumerate(cases):
+        lo, hi = _ordered_pair(rng, 10, model.n, k % 3)
+        report = cf.monotonicity_report(model, lo, hi, 3.0, samples=20)
+        assert case == {"ok": report.ok, "min_margin": report.min_margin,
+                        "violation_time": report.violation_time}
+    assert len(cases) == 5

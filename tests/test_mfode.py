@@ -14,7 +14,8 @@ import pytest
 
 import coxfield as cf
 from coxfield.dist import SchemaError
-from coxfield.mfode import _rk4, drift
+from coxfield import mfode
+from coxfield.mfode import LYAPUNOV_SAMPLES, _rk4, drift
 from coxfield.order import _as_h
 
 from test_acceptance import mcox1_tail
@@ -511,3 +512,112 @@ def test_lyapunov_decreases_above_fixed_point(balanced_service, rng):
         assert dz1 + dz2 <= 1e-9
         values.append(sum(cf.lyapunov_values(state, balanced_service)))
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+
+
+def test_monotonicity_report_per_pair_results():
+    # with one phase the order is componentwise; a negative tol demands a
+    # gap of at least 0.5, which both pairs lose as they approach pi
+    exp = cf.CoxianDistribution((1.0,), (0.0,))
+    model = cf.PolicyModel(kind="jsq", lam=0.5, service=exp, B=4, d=2)
+    lo = np.stack([np.zeros((4, 1)), np.full((4, 1), 0.45)])
+    hi = np.ones((2, 4, 1))
+    report = cf.monotonicity_report(model, lo, hi, T=2.0, samples=40, tol=-0.5)
+    single = [cf.monotonicity_report(model, a, b, T=2.0, samples=40, tol=-0.5)
+              for a, b in zip(lo, hi)]
+    assert not report.ok and not any(r.ok for r in single)
+    assert report.pair_violation_times.tolist() == [r.violation_time for r in single]
+    assert report.pair_margins.tolist() == [r.min_margin for r in single]
+    assert single[1].violation_time < single[0].violation_time
+    assert report.violation_time == single[1].violation_time
+    assert report.violation_pair == 1
+    assert report.min_margin == min(r.min_margin for r in single)
+
+
+def test_monotonicity_report_ordered_stack_has_no_violation_times(balanced_service):
+    rng = np.random.default_rng(3)
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
+    lo = np.stack([cf.random_state(5, 2, rng).h for _ in range(3)])
+    hi = np.stack([cf.upper_envelope(a, cf.random_state(5, 2, rng)).h for a in lo])
+    report = cf.monotonicity_report(model, lo, hi, T=5.0, samples=5)
+    assert report.ok and report.violation_time is None
+    assert np.isnan(report.pair_violation_times).all()
+    assert report.pair_margins.shape == (3,)
+    assert report.min_margin == report.pair_margins.min()
+
+
+@pytest.mark.parametrize("phases", [1, 2, 4])
+def test_lyapunov_functionals_broadcast(phases):
+    # a stack gives bit for bit the values of its states taken singly
+    mus = np.array([8.0, 4.0, 2.0, 1.0])[:phases]
+    weights = np.full(phases, 1.0 / phases)
+    service = cf.hyperexp_to_coxian(
+        cf.HyperExponential(tuple(weights), tuple(mus * (weights / mus).sum()))
+    )
+    rng = np.random.default_rng(4)
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=service, B=12, d=2)
+    stack = np.stack([cf.random_state(12, phases, rng).h for _ in range(6)])
+    stack = stack.reshape(2, 3, 12, phases)
+    for L in (1, 4, 12):
+        values = cf.lyapunov_values(stack, service, L=L)
+        rates = cf.lyapunov_rates(model, stack, L=L)
+        for idx in np.ndindex(2, 3):
+            one = cf.lyapunov_values(stack[idx], service, L=L)
+            assert all(isinstance(v, float) for v in one)
+            assert one == tuple(float(v[idx]) for v in values)
+            assert cf.lyapunov_rates(model, stack[idx], L=L) == tuple(
+                float(r[idx]) for r in rates
+            )
+
+
+def test_lyapunov_report_matches_per_state_check(balanced_service):
+    rng = np.random.default_rng(5)
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=6, d=2)
+    starts = np.stack([cf.random_state(6, 2, rng).h for _ in range(3)])
+    report = cf.lyapunov_report(model, starts, T=3.0)
+    assert report.ok and report.passed.all()
+    pi = report.fixed_point.pi
+    delta = min(5e-4, cf.step_bound(model) / 4)
+    for k, start in enumerate(starts):
+        h0 = cf.upper_envelope(start, pi)
+        rates, gaps = [], []
+        traj = cf.integrate(model, h0, 3.0, samples=LYAPUNOV_SAMPLES)
+        for state in traj.states:
+            mid = _rk4(model, state, delta, 1)
+            fwd = _rk4(model, mid, delta, 1)
+            rate = sum(cf.lyapunov_rates(model, mid))
+            fd = (sum(cf.lyapunov_values(fwd, balanced_service))
+                  - sum(cf.lyapunov_values(state, balanced_service))) / (2 * delta)
+            rates.append(rate)
+            gaps.append(abs(fd - rate))
+        assert report.max_rates[k] == max(rates) <= 1e-9
+        assert report.max_fd_gaps[k] == max(gaps) <= 1e-6
+
+
+def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
+    # a stack too large for STACK_FLOATS runs chunk by chunk, bit for bit;
+    # tol=-0.28 demands a gap the pairs lose, the first one in chunk 3
+    rng = np.random.default_rng(6)
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
+    scales = (0.1, 0.2, 0.05, 0.3, 0.5, 0.0)
+    lo = np.stack([s * cf.random_state(5, 2, rng).h for s in scales])
+    hi = np.ones_like(lo)
+    pair_floats = 2 * 11 * 5 * 2  # both sides, 10 samples + start, B n
+    runs = []
+    for floats in (mfode.STACK_FLOATS, 2 * pair_floats):
+        monkeypatch.setattr(mfode, "STACK_FLOATS", floats)
+        mono = cf.monotonicity_report(model, lo.reshape(2, 3, 5, 2),
+                                      hi.reshape(2, 3, 5, 2), 2.0, samples=10,
+                                      tol=-0.28)
+        runs.append((mono, cf.lyapunov_report(model, lo, 2.0)))
+    (mono, lyap), (mono_chunked, lyap_chunked) = runs
+    assert len(mfode._chunks(6, pair_floats)) == 3
+    assert mono.pair_margins.shape == (2, 3)
+    assert not mono.ok and mono.violation_pair == 4
+    assert np.isfinite(mono.pair_violation_times).sum() == 3
+    for field in ("ok", "violation_time", "violation_pair", "min_margin"):
+        assert getattr(mono, field) == getattr(mono_chunked, field)
+    for field in ("times", "pair_margins", "pair_violation_times"):
+        assert getattr(mono, field).tobytes() == getattr(mono_chunked, field).tobytes()
+    assert lyap.ok
+    for field in ("max_rates", "max_fd_gaps", "passed"):
+        assert getattr(lyap, field).tobytes() == getattr(lyap_chunked, field).tobytes()

@@ -220,6 +220,17 @@ def test_upper_envelope_properties(rng):
         assert np.array_equal(again.h, env.h)
 
 
+def test_upper_envelope_of_a_stack(rng):
+    pi = cf.random_state(4, 3, rng)
+    stack = np.stack([cf.random_state(4, 3, rng).h for _ in range(6)]).reshape(2, 3, 4, 3)
+    envs = cf.upper_envelope(stack, pi)
+    assert isinstance(envs, np.ndarray) and envs.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(envs[idx], cf.upper_envelope(stack[idx], pi).h)
+    with pytest.raises(ValueError, match="shape"):
+        cf.upper_envelope(stack, cf.random_state(5, 3, rng))
+
+
 @given(u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
 def test_scaling_preserves_order(u, v):
     rng = np.random.default_rng(1234)

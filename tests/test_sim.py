@@ -257,3 +257,25 @@ def test_comparison_contract():
     assert comp.half_width_max == pytest.approx(2e-3)
     with pytest.raises(ValueError, match="shape"):
         cf.compare_to_fixed_point(est(h_bar), np.zeros((3, 2)))
+
+
+STRAY_CASES = [
+    ({"policy": "jsq", "lambda": 0.9, "d": 2}, {"K": 5, "r": 3.0}),
+    ({"policy": "pullpush", "lambda": 0.9, "r": 1.0}, {"d": 7, "K": 3}),
+    ({"policy": "batchjsq", "lambda": 0.3, "d": 3, "K": 2}, {"r": 4.0}),
+]
+
+
+@pytest.mark.parametrize("doc, stray", STRAY_CASES)
+def test_stray_model_fields_have_no_effect(doc, stray):
+    service = {"kind": "hyperexp", "weights": [0.5, 0.5], "rates": [2.0, 2.0 / 3.0]}
+    clean = cf.model_from_dict({**doc, "B": 8, "service": service})
+    mixed = cf.model_from_dict({**doc, **stray, "B": 8, "service": service})
+    assert mixed.arrival == clean.arrival
+    assert mixed.rate_bound == clean.rate_bound
+    assert cf.model_to_dict(mixed) == cf.model_to_dict(clean)
+    configs = [cf.SimConfig(model=m, N=20, horizon=260.0, seed=3) for m in (clean, mixed)]
+    assert configs[0].resolved_warmup == configs[1].resolved_warmup
+    runs = [cf.simulate(config) for config in configs]
+    assert runs[0].per_replication.tobytes() == runs[1].per_replication.tobytes()
+    assert runs[0].stats.events == runs[1].stats.events
