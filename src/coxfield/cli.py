@@ -6,7 +6,8 @@ rejects the input, a verification fails or the run overflows or runs out
 of memory, and 2 on malformed input.
 Primary outputs are deterministic given the same inputs and seed; the
 manifest additionally records wall-clock time, the tool version and, for
-``fixed-point`` and ``simulate``, the work counts under "stats".
+``fixed-point``, ``integrate`` and ``simulate``, the work counts under
+"stats".
 """
 
 import argparse
@@ -211,6 +212,7 @@ def _cmd_integrate(args):
     if model.B is None:
         model = model.with_buffer(h0.B)
     traj = integrate(model, h0, args.t_final, dt=args.dt, samples=args.samples)
+    args.stats = asdict(traj.stats)
     path = os.path.join(args.out, "trajectory.csv")
     B, n = h0.B, h0.n
     header = ["t"] + [f"h_{l}_{i}" for l in range(1, B + 1) for i in range(1, n + 1)]
@@ -422,7 +424,9 @@ def _build_parser():
     p.add_argument("model", help="model JSON file")
     p.add_argument("--init", default="empty", help="'empty', 'full' or a state JSON")
     p.add_argument("--t-final", type=float, required=True, help="horizon")
-    p.add_argument("--dt", type=float, default=None, help="RK4 step")
+    p.add_argument(
+        "--dt", type=float, default=None, help="fixed RK4 step; default adaptive"
+    )
     p.add_argument("--samples", type=int, default=50, help="rows after the first")
 
     p = sub.add_parser(
@@ -450,7 +454,7 @@ _COMMANDS = {
 }
 
 _SUITE_COUNTS = {"monotone": 25, "attract": 10, "lyapunov": 5, "order-oracle": 200}
-_SUITE_HORIZONS = {"monotone": 50.0, "attract": 200.0, "lyapunov": 20.0}
+_SUITE_HORIZONS = {"monotone": 50.0, "attract": 1000.0, "lyapunov": 20.0}
 
 
 def main(argv=None):

@@ -23,8 +23,12 @@ polynomials and free of the cancellation a raw difference quotient
 suffers when the two tail values nearly coincide.  The constants of F,
 the quadrature rule and the service rates are built once per model.
 
-Integration is classic fixed-step RK4 (drifts are smooth polynomials in
-h; determinism matters more than adaptivity here).  Fixed points are
+Integration is an error-controlled Dormand-Prince 5(4) pair written here,
+batched and deterministic: each start of a stack keeps its own step, so
+its numbers do not depend on the other starts, and a trial step whose
+result leaves the state space is repeated with a smaller step, never
+clipped.  Fixed-step RK4 remains for a given ``dt`` and as the one-step
+stepper of the Lyapunov central differences.  Fixed points are
 found by pseudo-transient continuation from the empty state, or from the
 full state when the load lam K is at least 1: backward-
 Euler steps (I/tau - J) delta = f(h) on the full (B n)-dimensional drift,
@@ -65,6 +69,7 @@ from .order import (
     _as_h,
     _cell_diffs,
     _leq_arrays,
+    _margins,
     _phase_diffs,
     _violations,
     full_state,
@@ -423,15 +428,38 @@ def drift(model: PolicyModel, h: StateLike) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class IntegrationStats:
+    """Where an integration spent its work.
+
+    Step counts add up over the members of a stack.  ``invalid_steps`` are
+    the rejected steps whose result left the state space.  ``drift_calls``
+    counts drift evaluations, each one batched call over the members still
+    short of the next sample, so one start takes 1 + 6 (accepted +
+    rejected) of them.  ``min_margin`` is the smallest state-space slack
+    (``order._margins``) of the starts and of every accepted step's result
+    (of every sample when ``dt`` is given).  ``wall_s`` is the wall time.
+    """
+
+    accepted_steps: int
+    rejected_steps: int
+    invalid_steps: int
+    drift_calls: int
+    min_margin: float
+    wall_s: float
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Sampled solution: times (strictly increasing) and state stack.
 
     ``states[k]`` is the state at ``times[k]``; with batched initial
-    conditions the state axes follow the time axis.
+    conditions the state axes follow the time axis.  ``stats`` says where
+    the integration spent its work.
     """
 
     times: np.ndarray
     states: np.ndarray
+    stats: IntegrationStats = field(compare=False)
 
     @property
     def final(self) -> np.ndarray:
@@ -439,7 +467,11 @@ class Trajectory:
 
 
 def step_bound(model: PolicyModel) -> float:
-    """Largest admissible RK4 step for this model's event-rate scale."""
+    """Largest fixed RK4 step for this model's event-rate scale.
+
+    A ``dt`` given to ``integrate`` may not exceed it; the adaptive
+    integrator takes it as every member's first trial step.
+    """
     return 0.1 / model.rate_bound
 
 
@@ -457,8 +489,146 @@ def _rk4(model, h, dt, steps):
             raise IntegrationError(
                 f"state went negative ({low:.3e}) during a step; reduce dt"
             )
-        h = np.clip(h, 0.0, 1.0)
     return h
+
+
+#: state-space tolerance an integrator step's result or a continuation
+#: iterate must meet to be accepted
+_ITERATE_TOL = 1e-8
+
+#: relative and absolute error tolerances of the adaptive integrator
+RTOL = 1e-11
+ATOL = 1e-11
+
+#: step-size factor after a trial that left the state space
+_INVALID_SHRINK = 0.25
+
+#: a member whose proposed step falls below this fraction of step_bound
+#: cannot follow the flow within tolerance, and the integration fails
+_STEP_FLOOR = 1e-12
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
+# stage i + 2 takes the drift at y + h sum_j _DP_A[i][j] k_j; the last row
+# is the fifth-order solution, whose drift is the next step's first stage
+# (FSAL), and _DP_E weighs the stages into the local error estimate.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _weighted(weights, ks):
+    """sum_j w_j k_j over the nonzero weights, in order."""
+    acc = None
+    for w, k in zip(weights, ks):
+        if w:
+            acc = w * k if acc is None else acc + w * k
+    return acc
+
+
+def _dp_trial(model, y, k1, h):
+    """One Dormand-Prince trial step of per-member length h, shaped (M, 1, 1).
+
+    Returns the fifth-order result, its drift and the per-member error
+    norm: the max over (B, n) of |err| / (ATOL + RTOL max(|y|, |y_new|)).
+    """
+    ks = [k1]
+    for row in _DP_A:
+        y_new = y + h * _weighted(row, ks)
+        ks.append(drift(model, y_new))
+    scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
+    err = np.abs(h * _weighted(_DP_E, ks)) / scale
+    return y_new, ks[-1], err.max(axis=(-2, -1))
+
+
+def _growth(err: float) -> float:
+    """Step-size factor 0.9 err^(-1/5) clamped to [0.2, 5].
+
+    Taken in Python floats, one member at a time, so that a member's steps
+    never depend on the size of the stack it shares.
+    """
+    return 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+
+
+def _integrate_adaptive(model, h, times):
+    """Sampled states and stats of the Dormand-Prince flow from h (M, B, n).
+
+    Each member keeps its own time, step and error norm, and each round
+    steps only the members short of the next sample time, so a member's
+    bytes do not depend on the other members of its stack.  A trial fails
+    when its error norm exceeds 1 or its result leaves the state space
+    (tolerance _ITERATE_TOL); it is repeated with a smaller step.  Steps are
+    cut to land exactly on the sample times.
+    """
+    members = len(h)
+    out = np.empty((len(times),) + h.shape)
+    out[0] = h
+    slope = drift(model, h)
+    calls, accepted, rejected, invalid = 1, 0, 0, 0
+    margin = float(np.min(_margins(h), initial=np.inf))
+    t = np.zeros(members)
+    step = np.full(members, step_bound(model))
+    floor = _STEP_FLOOR * step[0]
+    for k, target in enumerate(times[1:], 1):
+        while True:
+            act = np.flatnonzero(t < target)
+            if not act.size:
+                break
+            sel = slice(None) if act.size == members else act
+            room = target - t[sel]
+            landed = step[sel] >= room
+            trial = np.minimum(step[sel], room)
+            y_new, slope_new, err = _dp_trial(
+                model, h[sel], slope[sel], trial[:, None, None]
+            )
+            calls += 6
+            margins = _margins(y_new)
+            valid = margins >= -_ITERATE_TOL
+            ok = valid & (err <= 1.0)
+            growth = [_growth(e) for e in err.tolist()]
+            proposal = trial * np.where(valid, growth, _INVALID_SHRINK)
+            proposal = np.where(ok & landed, np.maximum(step[sel], proposal), proposal)
+            if np.any(proposal < floor):
+                bad = act[np.argmax(proposal < floor)]
+                raise IntegrationError(
+                    f"step fell below {floor:.3g} at t={t[bad]:.6g} (start {bad}); "
+                    f"the flow cannot be followed within tolerance {RTOL:g}"
+                )
+            step[sel] = proposal
+            done = act[ok]
+            h[done] = y_new[ok]
+            slope[done] = slope_new[ok]
+            t[done] = np.where(landed[ok], target, t[done] + trial[ok])
+            accepted += int(ok.sum())
+            rejected += int(ok.size - ok.sum())
+            invalid += int(valid.size - valid.sum())
+            margin = min(margin, float(np.min(margins[ok], initial=np.inf)))
+        out[k] = h
+    return out, (accepted, rejected, invalid, calls, margin)
+
+
+def _integrate_fixed(model, h, times, dt):
+    """Sampled states and stats of fixed-step RK4 from h (M, B, n).
+
+    With one sample time (T = 0) it takes no step and ignores ``dt``.
+    """
+    out = np.empty((len(times),) + h.shape)
+    out[0] = h
+    total = 0
+    for k in range(len(times) - 1):
+        span = times[k + 1] - times[k]
+        steps = max(1, int(math.ceil(span / dt - 1e-12)))
+        h = _rk4(model, h, span / steps, steps)
+        _require_valid(h, times[k + 1])
+        out[k + 1] = h
+        total += steps
+    margin = float(np.min(_margins(out), initial=np.inf))
+    return out, (total * len(h), 0, 0, 4 * total, margin)
 
 
 def integrate(
@@ -468,44 +638,46 @@ def integrate(
     dt: Optional[float] = None,
     samples: int = 50,
 ) -> Trajectory:
-    """Integrate the mean-field ODE with fixed-step RK4.
+    """Integrate the mean-field ODE, sampled at ``samples`` + 1 even times.
 
-    Samples are emitted at ``samples`` + 1 evenly spaced times including
-    both endpoints; each segment is cut into whole steps no larger than
-    ``dt``.  Every emitted state is checked against the state-space
-    inequalities at tolerance 1e-8; a violation aborts (the usual cause
-    is a step size above the event-rate bound).  ``h0`` may carry leading
-    batch axes to integrate many trajectories in lockstep.
+    The sample times include both endpoints.  By default the flow is
+    integrated by an error-controlled Dormand-Prince 5(4) pair (RTOL =
+    ATOL = 1e-11) with one step size per start: a trial step whose error
+    norm exceeds 1 or whose result leaves the state space (tolerance
+    1e-8) is repeated with a smaller step, so every accepted state is
+    valid and none is clipped.  With ``dt`` given, each segment between
+    samples is cut into whole fixed RK4 steps no larger than ``dt``, which
+    may not exceed ``step_bound``, and a sample that violates the
+    state-space inequalities at 1e-8 aborts.  ``h0`` may carry leading
+    batch axes to integrate many trajectories at once; each start's
+    numbers are those it gets alone.  Raises IntegrationError when a
+    start cannot be followed.
     """
+    started = time.perf_counter()
     h = np.array(_as_h(h0, batch=True), dtype=float, copy=True)
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T!r}")
     bound = step_bound(model)
-    if dt is None:
-        dt = bound / 2.0
-    elif not 0 < dt <= bound * (1 + 1e-12):
+    if dt is not None and not 0 < dt <= bound * (1 + 1e-12):
         raise ValueError(f"dt={dt!r} exceeds the stability bound {bound:.6g}")
     _require_valid(h, 0.0)
-    if T == 0:
-        return Trajectory(np.zeros(1), h[None, ...])
-    samples = max(1, int(samples))
-    times = np.linspace(0.0, T, samples + 1)
-    out = np.empty((samples + 1,) + h.shape)
-    out[0] = h
-    for k in range(samples):
-        span = times[k + 1] - times[k]
-        steps = max(1, int(math.ceil(span / dt - 1e-12)))
-        h = _rk4(model, h, span / steps, steps)
-        _require_valid(h, times[k + 1])
-        out[k + 1] = h
-    return Trajectory(times, out)
+    times = np.linspace(0.0, T, max(1, int(samples)) + 1) if T > 0 else np.zeros(1)
+    stack = h.reshape((-1,) + h.shape[-2:])
+    if dt is None and T > 0:
+        out, counts = _integrate_adaptive(model, stack, times)
+    else:
+        out, counts = _integrate_fixed(model, stack, times, dt)
+    stats = IntegrationStats(*counts, wall_s=time.perf_counter() - started)
+    return Trajectory(times, out.reshape((len(times),) + h.shape), stats)
 
 
 def _require_valid(h, t):
-    ok = ~np.any([bad.any(axis=(-2, -1)) for _, bad in _violations(h, 1e-8)], axis=0)
+    ok = ~np.any(
+        [bad.any(axis=(-2, -1)) for _, bad in _violations(h, _ITERATE_TOL)], axis=0
+    )
     if not ok.all():
         first = np.unravel_index(np.argmin(ok), ok.shape)
-        shown = ", ".join(state_space_report(h[first], tol=1e-8).violations[:5])
+        shown = ", ".join(state_space_report(h[first], tol=_ITERATE_TOL).violations[:5])
         raise IntegrationError(f"state left the valid polytope at t={t:.6g}: {shown}")
 
 
@@ -551,9 +723,6 @@ _TAU_START = 1.0
 
 #: pseudo-time step below which the continuation gives up
 _TAU_FLOOR = 1e-9
-
-#: state-space tolerance a trial iterate must meet to be accepted
-_ITERATE_TOL = 1e-8
 
 _FD_EPS = 1e-7
 

@@ -124,18 +124,35 @@ def full_state(B: int, n: int) -> MeanFieldState:
     return MeanFieldState(np.ones((B, n)))
 
 
-def _violations(h: np.ndarray, tol: float) -> tuple:
-    """The four inequality families as (name, mask) pairs over leading axes.
+def _slacks(h: np.ndarray) -> tuple:
+    """The four inequality families as (name, slack) pairs over leading axes.
 
-    A mask is True where the inequality anchored at that 0-based (level,
-    phase) cell fails by more than ``tol``.
+    A slack is the amount by which the inequality anchored at that 0-based
+    (level, phase) cell holds; it is negative where the inequality fails.
     """
     gap = (h[..., :-1, :-1] + h[..., 1:, 1:]) - (h[..., 1:, :-1] + h[..., :-1, 1:])
     return (
-        ("range", (h < -tol) | (h > 1.0 + tol)),
-        ("phase monotonicity", h[..., :, 1:] > h[..., :, :-1] + tol),
-        ("level monotonicity", h[..., 1:, :] > h[..., :-1, :] + tol),
-        ("supermodularity", gap < -tol),
+        ("range", np.minimum(h, 1.0 - h)),
+        ("phase monotonicity", h[..., :, :-1] - h[..., :, 1:]),
+        ("level monotonicity", h[..., :-1, :] - h[..., 1:, :]),
+        ("supermodularity", gap),
+    )
+
+
+def _violations(h: np.ndarray, tol: float) -> tuple:
+    """(name, mask) pairs: True where a slack is below ``-tol``."""
+    return tuple((name, slack < -tol) for name, slack in _slacks(h))
+
+
+def _margins(h: np.ndarray) -> np.ndarray:
+    """Smallest slack of each state in a stack (NaN for a non-finite state).
+
+    A finite state passes ``state_space_report`` at ``tol`` exactly when
+    its margin is at least ``-tol``.
+    """
+    return np.min(
+        [s.min(axis=(-2, -1)) for _, s in _slacks(h) if s.shape[-1] and s.shape[-2]],
+        axis=0,
     )
 
 

@@ -168,6 +168,19 @@ def test_integrate_csv(tmp_path):
     assert np.abs(rows[-1, 1:].reshape(4, 2) - want).max() < 1e-12
 
 
+def test_integrate_manifest_stats(tmp_path):
+    src = model_file(tmp_path, B=4)
+    args = ["integrate", src, "--t-final", "5", "--samples", "4", "--out", str(tmp_path)]
+    assert main(args) == 0
+    stats = load(tmp_path, "manifest.json")["stats"]
+    assert set(stats) == {"accepted_steps", "rejected_steps", "invalid_steps",
+                          "drift_calls", "min_margin", "wall_s"}
+    assert stats["drift_calls"] == 1 + 6 * (stats["accepted_steps"]
+                                            + stats["rejected_steps"])
+    assert stats["min_margin"] >= -1e-8 and stats["wall_s"] > 0
+    assert "stats" not in (tmp_path / "trajectory.csv").read_text()
+
+
 def test_integrate_inits(tmp_path):
     src = model_file(tmp_path, B=3)
     args = ["integrate", src, "--t-final", "0", "--init", "full", "--out", str(tmp_path)]
@@ -384,6 +397,16 @@ def test_verify_attract(tmp_path):
     assert out["suite"] == "attract" and out["model"]["B"] == 6
     assert out["pass"] is True and len(out["distances"]) == 4
     assert out["max_distance"] == max(out["distances"]) <= 1e-6
+
+
+def test_verify_attract_default_horizon_on_readme_model(tmp_path):
+    # jsq lam=0.9, B=25 relaxes slowly: at T=200 starts were still 6e-3
+    # from pi, so the suite failed with its own defaults
+    src = model_file(tmp_path, **{"lambda": 0.9, "B": 25})
+    args = ["verify", "attract", "--model", src, "--count", "3", "--out", str(tmp_path)]
+    assert main(args) == 0
+    out = load(tmp_path, "verify_attract.json")
+    assert out["pass"] is True and out["max_distance"] <= 1e-6
 
 
 def test_verify_lyapunov(tmp_path):

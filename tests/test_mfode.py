@@ -16,7 +16,7 @@ import coxfield as cf
 from coxfield.dist import SchemaError
 from coxfield import mfode
 from coxfield.mfode import LYAPUNOV_SAMPLES, _rk4, drift
-from coxfield.order import _as_h
+from coxfield.order import _as_h, _margins
 
 from test_acceptance import mcox1_tail
 
@@ -337,6 +337,67 @@ def test_states_stay_valid_along_flow(balanced_service, rng):
     traj = cf.integrate(model, cf.random_state(6, 2, rng), 10.0, samples=20)
     for state in traj.states:
         assert cf.in_state_space(state, tol=1e-8)
+
+
+def test_adaptive_matches_fine_rk4(balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=8, d=2)
+    h0 = cf.zero_state(8, 2)
+    traj = cf.integrate(model, h0, 30.0, samples=30)
+    ref = cf.integrate(model, h0, 30.0, dt=cf.step_bound(model) / 16, samples=30)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.abs(traj.states - ref.states).max() <= 1e-10
+    # fewer than a third of the drift calls of RK4 at its old default step
+    rk4_calls = 4 * math.ceil(30.0 / (cf.step_bound(model) / 2))
+    assert traj.stats.drift_calls < rk4_calls / 3
+
+
+def test_integrate_stats_count_steps(balanced_service, rng):
+    model = cf.PolicyModel(kind="pullpush", lam=0.5, r=1.0, service=balanced_service, B=5)
+    traj = cf.integrate(model, cf.random_state(5, 2, rng), 8.0, samples=4)
+    stats = traj.stats
+    assert stats.accepted_steps >= 4 and stats.invalid_steps <= stats.rejected_steps
+    assert stats.drift_calls == 1 + 6 * (stats.accepted_steps + stats.rejected_steps)
+    # the samples are accepted states; the steps between them count too
+    assert -1e-8 <= stats.min_margin <= min(float(_margins(s)) for s in traj.states)
+    assert stats.wall_s > 0
+    fixed = cf.integrate(model, traj.states[0], 8.0, dt=cf.step_bound(model), samples=4)
+    steps = math.ceil(2.0 / cf.step_bound(model) - 1e-12)
+    assert fixed.stats.accepted_steps == 4 * steps and fixed.stats.rejected_steps == 0
+    assert fixed.stats.drift_calls == 4 * fixed.stats.accepted_steps
+    assert fixed.stats.min_margin == min(float(_margins(s)) for s in fixed.states)
+
+
+def test_stack_member_matches_its_solo_run(balanced_service, rng):
+    # a member's steps are its own: far-away partners and the stack size
+    # leave its bytes unchanged
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=6, d=2)
+    empty, full = np.zeros((6, 2)), np.ones((6, 2))
+    solo = cf.integrate(model, empty, 20.0, samples=10)
+    pair = cf.integrate(model, np.stack([empty, full]), 20.0, samples=10)
+    trio = cf.integrate(model, np.stack([full, cf.random_state(6, 2, rng).h, empty]),
+                        20.0, samples=10)
+    assert solo.states.tobytes() == pair.states[:, 0].tobytes()
+    assert solo.states.tobytes() == trio.states[:, 2].tobytes()
+    assert pair.states[:, 1].tobytes() == trio.states[:, 0].tobytes()
+    assert pair.stats.accepted_steps > solo.stats.accepted_steps
+
+
+def test_integration_from_fixed_point_takes_few_steps(balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=10, d=2)
+    pi = cf.fixed_point(model).pi
+    traj = cf.integrate(model, pi, 5.0, samples=1)
+    assert np.abs(traj.final - pi.h).max() <= 1e-11
+    # the first step is step_bound and each accepted step may grow it 5x
+    assert traj.stats.accepted_steps + traj.stats.rejected_steps <= 8
+
+
+def test_integrate_fails_loudly_when_no_step_stays_valid(balanced_service, monkeypatch):
+    # with every trial result reported outside the state space the step
+    # shrinks to its floor and the integration fails instead of clipping
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=4, d=2)
+    monkeypatch.setattr(mfode, "_margins", lambda h: np.full(h.shape[:-2], -1.0))
+    with pytest.raises(cf.IntegrationError, match="step fell below"):
+        cf.integrate(model, np.zeros((4, 2)), 1.0, samples=1)
 
 
 # ---------------------------------------------------------------------------
