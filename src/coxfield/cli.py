@@ -207,11 +207,13 @@ def _initial_state(init, model):
 
 
 def _cmd_integrate(args):
+    if args.samples < 1:
+        raise SchemaError(f"--samples must be at least 1, got {args.samples}")
     model = model_from_dict(_load_json(args.model))
     h0 = _initial_state(args.init, model)
     if model.B is None:
         model = model.with_buffer(h0.B)
-    traj = integrate(model, h0, args.t_final, dt=args.dt, samples=args.samples)
+    traj = integrate(model, h0, args.t_final, samples=args.samples)
     args.stats = asdict(traj.stats)
     path = os.path.join(args.out, "trajectory.csv")
     B, n = h0.B, h0.n
@@ -424,9 +426,6 @@ def _build_parser():
     p.add_argument("model", help="model JSON file")
     p.add_argument("--init", default="empty", help="'empty', 'full' or a state JSON")
     p.add_argument("--t-final", type=float, required=True, help="horizon")
-    p.add_argument(
-        "--dt", type=float, default=None, help="fixed RK4 step; default adaptive"
-    )
     p.add_argument("--samples", type=int, default=50, help="rows after the first")
 
     p = sub.add_parser(

@@ -607,9 +607,9 @@ def random_coxian_decreasing(
     uniform on [0.05, max_continuation], and the result is normalized to
     unit mean by default.  Normalized draws whose largest rate exceeds
     ``max_unit_rate`` are redrawn: they are valid, but a large rate
-    makes the mean-field ODE stiff, and the explicit integrators of
-    ``mfode`` then need steps of order one over the rate (see
-    ``mfode.step_bound``).
+    makes the mean-field ODE stiff, and the explicit Dormand-Prince
+    integrator of ``mfode`` then needs steps of order one over the rate
+    (its first trial step is ``mfode.step_bound``).
     """
     lo, hi = math.log(completion_range[0]), math.log(completion_range[1])
     while True:

@@ -27,8 +27,8 @@ Integration is an error-controlled Dormand-Prince 5(4) pair written here,
 batched and deterministic: each start of a stack keeps its own step, so
 its numbers do not depend on the other starts, and a trial step whose
 result leaves the state space is repeated with a smaller step, never
-clipped.  Fixed-step RK4 remains for a given ``dt`` and as the one-step
-stepper of the Lyapunov central differences.  Fixed points are
+clipped.  It is the one flow: the certificates, including the
+Lyapunov look-ahead, take their states from it.  Fixed points are
 found by pseudo-transient continuation from the empty state, or from the
 full state when the load lam K is at least 1: backward-
 Euler steps (I/tau - J) delta = f(h) on the full (B n)-dimensional drift,
@@ -65,13 +65,13 @@ from .dist import (
 )
 from .order import (
     MeanFieldState,
+    OMEGA_TOL,
     StateLike,
     _as_h,
     _cell_diffs,
     _leq_arrays,
     _margins,
     _phase_diffs,
-    _violations,
     full_state,
     state_space_report,
     upper_envelope,
@@ -436,8 +436,8 @@ class IntegrationStats:
     counts drift evaluations, each one batched call over the members still
     short of the next sample, so one start takes 1 + 6 (accepted +
     rejected) of them.  ``min_margin`` is the smallest state-space slack
-    (``order._margins``) of the starts and of every accepted step's result
-    (of every sample when ``dt`` is given).  ``wall_s`` is the wall time.
+    (``order._margins``) of the starts and of every accepted step's result.
+    ``wall_s`` is the wall time.
     """
 
     accepted_steps: int
@@ -467,29 +467,13 @@ class Trajectory:
 
 
 def step_bound(model: PolicyModel) -> float:
-    """Largest fixed RK4 step for this model's event-rate scale.
+    """First trial step of the integrator, 0.1 over the event-rate scale.
 
-    A ``dt`` given to ``integrate`` may not exceed it; the adaptive
-    integrator takes it as every member's first trial step.
+    Every start's first trial step is this length, and it is the unit of
+    the step floor: a start whose proposed step falls below _STEP_FLOOR
+    times it fails the integration.
     """
     return 0.1 / model.rate_bound
-
-
-def _rk4(model, h, dt, steps):
-    sixth = dt / 6.0
-    half = dt / 2.0
-    for _ in range(steps):
-        k1 = drift(model, h)
-        k2 = drift(model, h + half * k1)
-        k3 = drift(model, h + half * k2)
-        k4 = drift(model, h + dt * k3)
-        h = h + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        low = float(h.min())
-        if low < -1e-12:
-            raise IntegrationError(
-                f"state went negative ({low:.3e}) during a step; reduce dt"
-            )
-    return h
 
 
 #: state-space tolerance an integrator step's result or a continuation
@@ -555,7 +539,7 @@ def _growth(err: float) -> float:
     return 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err**-0.2))
 
 
-def _integrate_adaptive(model, h, times):
+def _integrate_adaptive(model, h, times, margin):
     """Sampled states and stats of the Dormand-Prince flow from h (M, B, n).
 
     Each member keeps its own time, step and error norm, and each round
@@ -563,17 +547,17 @@ def _integrate_adaptive(model, h, times):
     bytes do not depend on the other members of its stack.  A trial fails
     when its error norm exceeds 1 or its result leaves the state space
     (tolerance _ITERATE_TOL); it is repeated with a smaller step.  Steps are
-    cut to land exactly on the sample times.
+    cut to land exactly on the sample times.  ``margin`` is the starts'
+    smallest state-space slack.
     """
     members = len(h)
     out = np.empty((len(times),) + h.shape)
     out[0] = h
     slope = drift(model, h)
     calls, accepted, rejected, invalid = 1, 0, 0, 0
-    margin = float(np.min(_margins(h), initial=np.inf))
     t = np.zeros(members)
     step = np.full(members, step_bound(model))
-    floor = _STEP_FLOOR * step[0]
+    floor = _STEP_FLOOR * step_bound(model)
     for k, target in enumerate(times[1:], 1):
         while True:
             act = np.flatnonzero(t < target)
@@ -612,73 +596,45 @@ def _integrate_adaptive(model, h, times):
     return out, (accepted, rejected, invalid, calls, margin)
 
 
-def _integrate_fixed(model, h, times, dt):
-    """Sampled states and stats of fixed-step RK4 from h (M, B, n).
-
-    With one sample time (T = 0) it takes no step and ignores ``dt``.
-    """
-    out = np.empty((len(times),) + h.shape)
-    out[0] = h
-    total = 0
-    for k in range(len(times) - 1):
-        span = times[k + 1] - times[k]
-        steps = max(1, int(math.ceil(span / dt - 1e-12)))
-        h = _rk4(model, h, span / steps, steps)
-        _require_valid(h, times[k + 1])
-        out[k + 1] = h
-        total += steps
-    margin = float(np.min(_margins(out), initial=np.inf))
-    return out, (total * len(h), 0, 0, 4 * total, margin)
-
-
 def integrate(
-    model: PolicyModel,
-    h0: StateLike,
-    T: float,
-    dt: Optional[float] = None,
-    samples: int = 50,
+    model: PolicyModel, h0: StateLike, T: float, samples: int = 50
 ) -> Trajectory:
     """Integrate the mean-field ODE, sampled at ``samples`` + 1 even times.
 
-    The sample times include both endpoints.  By default the flow is
-    integrated by an error-controlled Dormand-Prince 5(4) pair (RTOL =
-    ATOL = 1e-11) with one step size per start: a trial step whose error
-    norm exceeds 1 or whose result leaves the state space (tolerance
-    1e-8) is repeated with a smaller step, so every accepted state is
-    valid and none is clipped.  With ``dt`` given, each segment between
-    samples is cut into whole fixed RK4 steps no larger than ``dt``, which
-    may not exceed ``step_bound``, and a sample that violates the
-    state-space inequalities at 1e-8 aborts.  ``h0`` may carry leading
-    batch axes to integrate many trajectories at once; each start's
-    numbers are those it gets alone.  Raises IntegrationError when a
-    start cannot be followed.
+    The sample times include both endpoints; ``T`` must be finite and
+    nonnegative and ``samples`` at least 1.  The flow is integrated by an
+    error-controlled Dormand-Prince 5(4) pair (RTOL = ATOL = 1e-11) with
+    one step size per start: a trial step whose error norm exceeds 1 or
+    whose result leaves the state space (tolerance 1e-8) is repeated with
+    a smaller step, so every accepted state is valid and none is clipped.
+    ``h0`` may carry leading batch axes to integrate many trajectories at
+    once; each start's numbers are those it gets alone.  Raises
+    IntegrationError when a start is outside the state space at 1e-8
+    (a non-finite entry included) or cannot be followed.
     """
     started = time.perf_counter()
+    if not 0 <= T < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {T!r}")
+    if samples < 1:
+        raise ValueError(f"need at least one sample after the start, got {samples!r}")
     h = np.array(_as_h(h0, batch=True), dtype=float, copy=True)
-    if T < 0:
-        raise ValueError(f"horizon must be nonnegative, got {T!r}")
-    bound = step_bound(model)
-    if dt is not None and not 0 < dt <= bound * (1 + 1e-12):
-        raise ValueError(f"dt={dt!r} exceeds the stability bound {bound:.6g}")
-    _require_valid(h, 0.0)
-    times = np.linspace(0.0, T, max(1, int(samples)) + 1) if T > 0 else np.zeros(1)
     stack = h.reshape((-1,) + h.shape[-2:])
-    if dt is None and T > 0:
-        out, counts = _integrate_adaptive(model, stack, times)
+    margins = _margins(stack)
+    bad = np.flatnonzero(~(margins >= -_ITERATE_TOL))
+    if bad.size:
+        report = state_space_report(stack[bad[0]], tol=_ITERATE_TOL)
+        raise IntegrationError(
+            f"start {bad[0]} is outside the valid polytope: "
+            + ", ".join(report.violations[:5])
+        )
+    margin = float(np.min(margins, initial=np.inf))
+    if T == 0:
+        times, out, counts = np.zeros(1), stack[None], (0, 0, 0, 0, margin)
     else:
-        out, counts = _integrate_fixed(model, stack, times, dt)
+        times = np.linspace(0.0, T, int(samples) + 1)
+        out, counts = _integrate_adaptive(model, stack, times, margin)
     stats = IntegrationStats(*counts, wall_s=time.perf_counter() - started)
     return Trajectory(times, out.reshape((len(times),) + h.shape), stats)
-
-
-def _require_valid(h, t):
-    ok = ~np.any(
-        [bad.any(axis=(-2, -1)) for _, bad in _violations(h, _ITERATE_TOL)], axis=0
-    )
-    if not ok.all():
-        first = np.unravel_index(np.argmin(ok), ok.shape)
-        shown = ", ".join(state_space_report(h[first], tol=_ITERATE_TOL).violations[:5])
-        raise IntegrationError(f"state left the valid polytope at t={t:.6g}: {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -807,9 +763,7 @@ def fixed_point(
         except np.linalg.LinAlgError:
             step = np.full(size, np.nan)
         trial = h + step.reshape(B, n)
-        if not (
-            np.isfinite(trial).all() and state_space_report(trial, tol=_ITERATE_TOL).ok
-        ):
+        if not _margins(trial) >= -_ITERATE_TOL:  # a NaN margin fails too
             rejected += 1
             retry = True
             tau /= 4.0
@@ -831,9 +785,9 @@ def fixed_point(
         accepted += 1
         history.append(sup)
 
-    report = state_space_report(h)
-    if not report.ok:
-        raise FixedPointError(f"solver state violates {report.violations[0]}", history)
+    if not _margins(h) >= -OMEGA_TOL:
+        shown = state_space_report(h).violations[0]
+        raise FixedPointError(f"solver state violates {shown}", history)
     stats = SolverStats(calls, accepted, rejected, 1, time.perf_counter() - started)
     return FixedPointResult(MeanFieldState(h), sup, accepted, tuple(history), stats)
 
@@ -960,21 +914,22 @@ def lyapunov_report(
     """Check that the Lyapunov functionals decrease along flows above pi.
 
     Each of the (M, B, n) ``starts`` is lifted to its upper envelope with
-    pi, and the stack is integrated to T, as ``verify lyapunov`` does.  At
-    each of the LYAPUNOV_SAMPLES + 1 samples h, the rate dz1 + dz2 (L = 1)
-    one RK4 step of delta = min(5e-4, step_bound / 4) ahead is compared
-    with the central difference of z1 + z2 between h and two steps ahead.
-    A start passes when its worst rate is at most ``tol`` and its worst
-    gap at most LYAPUNOV_FD_TOL.
+    pi, and the stack is integrated to T, as ``verify lyapunov`` does.  From
+    each of the LYAPUNOV_SAMPLES + 1 samples h the same flow runs on to
+    2 delta, delta = min(5e-4, step_bound / 4): the rate dz1 + dz2 (L = 1)
+    at t = delta is compared with the central difference of z1 + z2
+    between h and t = 2 delta.  A start passes when its worst rate is at
+    most ``tol`` and its worst gap at most LYAPUNOV_FD_TOL.
     """
     starts, fp = _starts_and_fixed_point(model, starts)
     delta = min(5e-4, step_bound(model) / 4)
     rates, gaps = [], []
-    for part in _chunks(len(starts), (LYAPUNOV_SAMPLES + 1) * starts[0].size):
+    # the look-ahead trajectory, three samples of every sampled state, is
+    # the largest stack a chunk integrates
+    for part in _chunks(len(starts), 3 * (LYAPUNOV_SAMPLES + 1) * starts[0].size):
         top = upper_envelope(starts[part], fp.pi)
         states = integrate(model, top, T, samples=LYAPUNOV_SAMPLES).states
-        mid = _rk4(model, states, delta, 1)
-        fwd = _rk4(model, mid, delta, 1)
+        _, mid, fwd = integrate(model, states, 2 * delta, samples=2).states
         rate = np.add(*lyapunov_rates(model, mid))
         z = [np.add(*lyapunov_values(h, model.service)) for h in (states, fwd)]
         fd = (z[1] - z[0]) / (2 * delta)

@@ -139,37 +139,40 @@ def _slacks(h: np.ndarray) -> tuple:
     )
 
 
-def _violations(h: np.ndarray, tol: float) -> tuple:
-    """(name, mask) pairs: True where a slack is below ``-tol``."""
-    return tuple((name, slack < -tol) for name, slack in _slacks(h))
-
-
 def _margins(h: np.ndarray) -> np.ndarray:
     """Smallest slack of each state in a stack (NaN for a non-finite state).
 
-    A finite state passes ``state_space_report`` at ``tol`` exactly when
-    its margin is at least ``-tol``.
+    The one state-space decision: a state is valid at ``tol`` exactly when
+    its margin is at least ``-tol``, which a NaN margin never is.
     """
-    return np.min(
-        [s.min(axis=(-2, -1)) for _, s in _slacks(h) if s.shape[-1] and s.shape[-2]],
-        axis=0,
-    )
+    # each family's cells on one axis; a count, as -1 fails on an empty stack
+    flat = [
+        slack.reshape(slack.shape[:-2] + (slack.shape[-2] * slack.shape[-1],))
+        for _, slack in _slacks(h)
+    ]
+    return np.concatenate(flat, axis=-1).min(axis=-1)
 
 
 def state_space_report(state: StateLike, tol: float = OMEGA_TOL) -> StateSpaceReport:
     """Check the four inequality families defining valid states.
 
-    Violations are reported as human-readable strings naming the family
-    and the 1-based (level, phase) anchor, e.g. "phase monotonicity at
+    Validity is decided by ``_margins``.  A failing state gets its
+    violations as human-readable strings naming the 1-based (level, phase)
+    cell: first each non-finite entry, as "non-finite at (2, 1)", then each
+    failed inequality by family and anchor, e.g. "phase monotonicity at
     (1, 1)" when h_{1,2} > h_{1,1}.
     """
+    h = _as_h(state)
+    if _margins(h) >= -tol:
+        return StateSpaceReport(True, ())
+    masks = [("non-finite", ~np.isfinite(h))]
+    masks += [(name, slack < -tol) for name, slack in _slacks(h)]
     violations = tuple(
         f"{name} at ({l + 1}, {i + 1})"
-        for name, bad in _violations(_as_h(state), tol)
-        if bad.any()
+        for name, bad in masks
         for l, i in np.argwhere(bad)
     )
-    return StateSpaceReport(not violations, violations)
+    return StateSpaceReport(False, violations)
 
 
 def in_state_space(state: StateLike, tol: float = OMEGA_TOL) -> bool:

@@ -6,6 +6,7 @@ rational arithmetic, exhaustive enumeration, or an independent CTMC
 solve; nothing is read back from the implementation under test.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ import numpy as np
 
 import coxfield as cf
 from coxfield.dist import SURVIVAL_FLOOR, _phase_grid_many
-from coxfield.mfode import _rk4, drift
+from coxfield.mfode import drift
+from coxfield.order import _as_h
 
 import test_dist
 import test_order
@@ -273,9 +275,8 @@ def test_ac10_lyapunov_drift_identities(capsys):
         traj = cf.integrate(model, h0, 20.0, samples=10)
         for state in traj.states:
             above &= cf.leq(pi, state, tol=1e-7)
+            _, mid, fwd = rk4_reference(model, state, (0.0, delta, 2 * delta), delta)
             for L in (1, 2):
-                mid = _rk4(model, state.copy(), delta, 1)
-                fwd = _rk4(model, mid.copy(), delta, 1)
                 lo = cf.lyapunov_values(state, SERVICE, L=L)
                 hi = cf.lyapunov_values(fwd, SERVICE, L=L)
                 fd = (np.asarray(hi) - np.asarray(lo)) / (2 * delta)
@@ -337,6 +338,30 @@ def mcox1_tail(service, lam, B):
         if l >= 1:
             h[:l, :i] += prob[k]
     return h
+
+
+def rk4_reference(model, h, times, dt):
+    """Fixed-step classic RK4 from h, sampled at ``times``: the reference flow.
+
+    Each segment between consecutive times is cut into the fewest whole
+    steps no longer than ``dt``; decreasing times run the flow backwards.
+    Returns the stack of samples, the first being h (which may itself be
+    a stack of states).
+    """
+    out = [np.array(_as_h(h, batch=True), dtype=float)]
+    for span in np.diff(times):
+        steps = max(1, math.ceil(abs(span) / dt - 1e-12))
+        step = span / steps
+        sixth, half = step / 6.0, step / 2.0
+        y = out[-1]
+        for _ in range(steps):
+            k1 = drift(model, y)
+            k2 = drift(model, y + half * k1)
+            k3 = drift(model, y + half * k2)
+            k4 = drift(model, y + step * k3)
+            y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(y)
+    return np.stack(out)
 
 
 def test_ac12_policy_special_cases(capsys):

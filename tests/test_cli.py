@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+import time
 from unittest import mock
 
 import numpy as np
@@ -196,6 +197,29 @@ def test_integrate_inits(tmp_path):
     tall = write(tmp_path / "tall.json", cf.state_to_dict(cf.full_state(5, 2)))
     assert main(["integrate", src, "--t-final", "1", "--init", tall,
                  "--out", str(tmp_path)]) == 2
+
+
+def test_integrate_rejects_bad_samples_and_step_flag(tmp_path):
+    args = ["integrate", model_file(tmp_path), "--t-final", "5", "--out", str(tmp_path)]
+    assert main(args + ["--samples", "0"]) == 2
+    assert "--samples" in load(tmp_path, "manifest.json")["error"]
+    # there is one integrator, so no fixed step to ask for
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--dt", "0.01"])
+    assert exc.value.code == 2
+
+
+def test_non_finite_horizons_exit_1(tmp_path):
+    # an infinite horizon used to run for ever, a NaN one to pass vacuously
+    src = model_file(tmp_path)
+    for args in (["integrate", src, "--t-final", "inf"],
+                 ["integrate", src, "--t-final", "nan"],
+                 ["verify", "monotone", "--model", src, "--T", "nan"],
+                 ["verify", "lyapunov", "--model", src, "--T", "nan"]):
+        started = time.perf_counter()
+        assert main(args + ["--out", str(tmp_path)]) == 1
+        assert time.perf_counter() - started < 5
+        assert "horizon" in load(tmp_path, "manifest.json")["error"]
 
 
 def test_simulate_output(tmp_path):

@@ -15,10 +15,10 @@ import pytest
 import coxfield as cf
 from coxfield.dist import SchemaError
 from coxfield import mfode
-from coxfield.mfode import LYAPUNOV_SAMPLES, _rk4, drift
+from coxfield.mfode import LYAPUNOV_SAMPLES, drift
 from coxfield.order import _as_h, _margins
 
-from test_acceptance import mcox1_tail
+from test_acceptance import mcox1_tail, rk4_reference
 
 
 def naive_phi(x, K, d):
@@ -284,13 +284,14 @@ def test_model_dict_round_trip(balanced_service):
 
 
 def test_integration_is_fourth_order(balanced_service):
+    # the RK4 reference the other integration tests compare against
     model = cf.PolicyModel(kind="jsq", lam=0.8, service=balanced_service, B=6, d=2)
     h0 = np.zeros((6, 2))
     base = cf.step_bound(model) / 2
-    ref = cf.integrate(model, h0, 2.0, dt=base / 8, samples=1).final
+    ref = rk4_reference(model, h0, (0.0, 2.0), base / 8)[-1]
     errs = []
     for dt in (base, base / 2):
-        end = cf.integrate(model, h0, 2.0, dt=dt, samples=1).final
+        end = rk4_reference(model, h0, (0.0, 2.0), dt)[-1]
         errs.append(np.abs(end - ref).max())
     rate = errs[0] / errs[1]
     assert 11 < rate < 21  # fourth order: factor 16
@@ -316,18 +317,38 @@ def test_integrate_rejects_invalid_stack_member(balanced_service, rng):
         cf.integrate(model, stack, 0.5, samples=1)
 
 
-def test_integrate_rejects_large_step(balanced_service):
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_non_finite_state_is_invalid(balanced_service, entry):
+    # a NaN used to pass every check: the report said ok, to_occupancy gave
+    # NaN cells with idle 1.0, and integrate failed only once its step shrank
+    h = cf.random_state(4, 2, np.random.default_rng(0)).h
+    h[1, 0] = entry
+    report = cf.state_space_report(h)
+    assert not report.ok and report.violations[0] == "non-finite at (2, 1)"
+    assert not cf.in_state_space(h, tol=1.0)
+    with pytest.raises(ValueError, match="non-finite at \\(2, 1\\)"):
+        cf.to_occupancy(h)
     model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=4, d=2)
-    with pytest.raises(ValueError, match="stability bound"):
-        cf.integrate(model, np.zeros((4, 2)), 1.0, dt=1.0)
+    with pytest.raises(cf.IntegrationError, match="start 1 .*non-finite at \\(2, 1\\)"):
+        cf.integrate(model, np.stack([np.zeros((4, 2)), h]), 1.0, samples=1)
+
+
+def test_integrate_rejects_bad_horizon_and_samples(balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=4, d=2)
+    for T in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            cf.integrate(model, np.zeros((4, 2)), T)
+    for samples in (0, -2):
+        with pytest.raises(ValueError, match="at least one sample"):
+            cf.integrate(model, np.zeros((4, 2)), 1.0, samples=samples)
 
 
 def test_trajectory_derivative_matches_drift(balanced_service, rng):
     model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
     h = cf.random_state(5, 2, rng).h
     dt = 1e-4
-    fwd = _rk4(model, h.copy(), dt, 1)
-    bwd = _rk4(model, h.copy(), -dt, 1)
+    fwd = rk4_reference(model, h, (0.0, dt), dt)[-1]
+    bwd = rk4_reference(model, h, (0.0, -dt), dt)[-1]
     fd = (fwd - bwd) / (2 * dt)
     assert np.abs(fd - drift(model, h)).max() < 1e-7
 
@@ -343,9 +364,9 @@ def test_adaptive_matches_fine_rk4(balanced_service):
     model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=8, d=2)
     h0 = cf.zero_state(8, 2)
     traj = cf.integrate(model, h0, 30.0, samples=30)
-    ref = cf.integrate(model, h0, 30.0, dt=cf.step_bound(model) / 16, samples=30)
-    assert np.array_equal(traj.times, ref.times)
-    assert np.abs(traj.states - ref.states).max() <= 1e-10
+    assert np.array_equal(traj.times, np.linspace(0.0, 30.0, 31))
+    ref = rk4_reference(model, h0, traj.times, cf.step_bound(model) / 16)
+    assert np.abs(traj.states - ref).max() <= 1e-10
     # fewer than a third of the drift calls of RK4 at its old default step
     rk4_calls = 4 * math.ceil(30.0 / (cf.step_bound(model) / 2))
     assert traj.stats.drift_calls < rk4_calls / 3
@@ -360,11 +381,6 @@ def test_integrate_stats_count_steps(balanced_service, rng):
     # the samples are accepted states; the steps between them count too
     assert -1e-8 <= stats.min_margin <= min(float(_margins(s)) for s in traj.states)
     assert stats.wall_s > 0
-    fixed = cf.integrate(model, traj.states[0], 8.0, dt=cf.step_bound(model), samples=4)
-    steps = math.ceil(2.0 / cf.step_bound(model) - 1e-12)
-    assert fixed.stats.accepted_steps == 4 * steps and fixed.stats.rejected_steps == 0
-    assert fixed.stats.drift_calls == 4 * fixed.stats.accepted_steps
-    assert fixed.stats.min_margin == min(float(_margins(s)) for s in fixed.states)
 
 
 def test_stack_member_matches_its_solo_run(balanced_service, rng):
@@ -393,9 +409,13 @@ def test_integration_from_fixed_point_takes_few_steps(balanced_service):
 
 def test_integrate_fails_loudly_when_no_step_stays_valid(balanced_service, monkeypatch):
     # with every trial result reported outside the state space the step
-    # shrinks to its floor and the integration fails instead of clipping
+    # shrinks to its floor and the integration fails instead of clipping;
+    # only the empty start is reported valid, so that it passes the start
+    # check, and every trial result from it has arrivals in it
     model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=4, d=2)
-    monkeypatch.setattr(mfode, "_margins", lambda h: np.full(h.shape[:-2], -1.0))
+    monkeypatch.setattr(
+        mfode, "_margins", lambda h: np.where((h == 0).all(axis=(-2, -1)), 0.0, -1.0)
+    )
     with pytest.raises(cf.IntegrationError, match="step fell below"):
         cf.integrate(model, np.zeros((4, 2)), 1.0, samples=1)
 
@@ -551,8 +571,7 @@ def test_lyapunov_rates_match_finite_differences(balanced_service, rng):
     delta = 2e-4
     for _ in range(5):
         h = _as_h(cf.random_state(8, 2, rng))
-        mid = _rk4(model, h.copy(), delta, 1)
-        fwd = _rk4(model, mid.copy(), delta, 1)
+        _, mid, fwd = rk4_reference(model, h, (0.0, delta, 2 * delta), delta)
         for L in (1, 3):
             z_lo = cf.lyapunov_values(h, balanced_service, L=L)
             z_hi = cf.lyapunov_values(fwd, balanced_service, L=L)
@@ -638,20 +657,32 @@ def test_lyapunov_report_matches_per_state_check(balanced_service):
     assert report.ok and report.passed.all()
     pi = report.fixed_point.pi
     delta = min(5e-4, cf.step_bound(model) / 4)
-    for k, start in enumerate(starts):
-        h0 = cf.upper_envelope(start, pi)
+    lookahead = (0.0, delta, 2 * delta)
+
+    def worst(state_samples, ahead):
+        # worst rate at mid and worst gap to the central difference
         rates, gaps = [], []
-        traj = cf.integrate(model, h0, 3.0, samples=LYAPUNOV_SAMPLES)
-        for state in traj.states:
-            mid = _rk4(model, state, delta, 1)
-            fwd = _rk4(model, mid, delta, 1)
+        for state in state_samples:
+            _, mid, fwd = ahead(state)
             rate = sum(cf.lyapunov_rates(model, mid))
             fd = (sum(cf.lyapunov_values(fwd, balanced_service))
                   - sum(cf.lyapunov_values(state, balanced_service))) / (2 * delta)
             rates.append(rate)
             gaps.append(abs(fd - rate))
-        assert report.max_rates[k] == max(rates) <= 1e-9
-        assert report.max_fd_gaps[k] == max(gaps) <= 1e-6
+        return max(rates), max(gaps)
+
+    for k, start in enumerate(starts):
+        h0 = cf.upper_envelope(start, pi)
+        traj = cf.integrate(model, h0, 3.0, samples=LYAPUNOV_SAMPLES)
+        rate, gap = worst(traj.states,
+                          lambda h: cf.integrate(model, h, 2 * delta, samples=2).states)
+        assert report.max_rates[k] == rate <= 1e-9
+        assert report.max_fd_gaps[k] == gap <= 1e-6
+        # the look-ahead of the flow agrees with two RK4 steps of delta
+        rate, gap = worst(traj.states,
+                          lambda h: rk4_reference(model, h, lookahead, delta))
+        assert abs(report.max_rates[k] - rate) <= 1e-12
+        assert abs(report.max_fd_gaps[k] - gap) <= 1e-12
 
 
 def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
