@@ -607,8 +607,8 @@ def random_coxian_decreasing(
     uniform on [0.05, max_continuation], and the result is normalized to
     unit mean by default.  Normalized draws whose largest rate exceeds
     ``max_unit_rate`` are redrawn: they are valid, but a large rate
-    makes the mean-field ODE stiff, and the explicit Dormand-Prince
-    integrator of ``mfode`` then needs steps of order one over the rate
+    makes the mean-field ODE stiff, and the explicit DOP853 integrator
+    of ``mfode`` then needs steps of order one over the rate
     (its first trial step is ``mfode.step_bound``).
     """
     lo, hi = math.log(completion_range[0]), math.log(completion_range[1])

@@ -23,11 +23,11 @@ polynomials and free of the cancellation a raw difference quotient
 suffers when the two tail values nearly coincide.  The constants of F,
 the quadrature rule and the service rates are built once per model.
 
-Integration is an error-controlled Dormand-Prince 5(4) pair written here,
-batched and deterministic: each start of a stack keeps its own step, so
-its numbers do not depend on the other starts, and a trial step whose
-result leaves the state space is repeated with a smaller step, never
-clipped.  It is the one flow: the certificates, including the
+Integration is an error-controlled Dormand-Prince 8(5,3) method, DOP853,
+written here, batched and deterministic: each start of a stack keeps its
+own step, so its numbers do not depend on the other starts, and a trial
+step whose result leaves the state space is repeated with a smaller
+step, never clipped.  It is the one flow: the certificates, including the
 Lyapunov look-ahead, take their states from it.  Fixed points are
 found by pseudo-transient continuation from the empty state, or from the
 full state when the load lam K is at least 1: backward-
@@ -52,6 +52,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .dist import (
     CoxianDistribution,
@@ -382,7 +383,8 @@ class _DriftTerms:
 def _service(nu, advance, h):
     """Completion and phase-advance drift for rate vectors nu and advance."""
     d_phase = _phase_diffs(h)
-    tail = np.flip(np.cumsum(np.flip(d_phase * nu, axis=-1), axis=-1), axis=-1)
+    # reversed views: np.flip's axis normalisation costs more than the sum
+    tail = np.cumsum((d_phase * nu)[..., ::-1], axis=-1)[..., ::-1]
     cells = _cell_diffs(d_phase)
     out = np.empty_like(h)
     out[..., 0] = -(cells @ nu)
@@ -434,7 +436,7 @@ class IntegrationStats:
     Step counts add up over the members of a stack.  ``invalid_steps`` are
     the rejected steps whose result left the state space.  ``drift_calls``
     counts drift evaluations, each one batched call over the members still
-    short of the next sample, so one start takes 1 + 6 (accepted +
+    short of the next sample, so one start takes 1 + 12 (accepted +
     rejected) of them.  ``min_margin`` is the smallest state-space slack
     (``order._margins``) of the starts and of every accepted step's result.
     ``wall_s`` is the wall time.
@@ -484,6 +486,12 @@ _ITERATE_TOL = 1e-8
 RTOL = 1e-11
 ATOL = 1e-11
 
+#: Largest accepted T * model.rate_bound of one integration.  Stability,
+#: not accuracy, holds steps near the fixed point to about 5 / rate_bound,
+#: so this caps a flow at about 2e6 steps; the README model's ``verify
+#: attract`` default is 3,800.
+MAX_HORIZON = 1e7
+
 #: step-size factor after a trial that left the state space
 _INVALID_SHRINK = 0.25
 
@@ -491,19 +499,18 @@ _INVALID_SHRINK = 0.25
 #: cannot follow the flow within tolerance, and the integration fails
 _STEP_FLOOR = 1e-12
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
-# stage i + 2 takes the drift at y + h sum_j _DP_A[i][j] k_j; the last row
-# is the fifth-order solution, whose drift is the next step's first stage
-# (FSAL), and _DP_E weighs the stages into the local error estimate.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.10), with the coefficients scipy ships: stage i + 2 takes the drift at
+# y + h sum_j _DOP_A[i][j] k_j, _DOP_B weighs the 12 stages into the
+# eighth-order result, whose drift is the next step's first stage (FSAL),
+# and _DOP_E5 and _DOP_E3 weigh them into the fifth- and third-order local
+# error estimates.
+_DOP_A = tuple(
+    tuple(row[:i].tolist()) for i, row in enumerate(_dop853.A[1 : _dop853.N_STAGES], 1)
 )
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DOP_B = tuple(_dop853.B.tolist())
+_DOP_E5 = tuple(_dop853.E5.tolist())
+_DOP_E3 = tuple(_dop853.E3.tolist())
 
 
 def _weighted(weights, ks):
@@ -515,32 +522,40 @@ def _weighted(weights, ks):
     return acc
 
 
-def _dp_trial(model, y, k1, h):
-    """One Dormand-Prince trial step of per-member length h, shaped (M, 1, 1).
+def _dop_trial(model, y, k1, h):
+    """One DOP853 trial step of per-member length h, shaped (M, 1, 1).
 
-    Returns the fifth-order result, its drift and the per-member error
-    norm: the max over (B, n) of |err| / (ATOL + RTOL max(|y|, |y_new|)).
+    Returns the eighth-order result, its drift and the per-member error
+    norm e5^2 / sqrt(e5^2 + 0.01 e3^2), where e5 and e3 are the max over
+    (B, n) of |est| / (ATOL + RTOL max(|y|, |y_new|)) for the fifth- and
+    third-order estimates.
     """
     ks = [k1]
-    for row in _DP_A:
-        y_new = y + h * _weighted(row, ks)
-        ks.append(drift(model, y_new))
+    for row in _DOP_A:
+        ks.append(drift(model, y + h * _weighted(row, ks)))
+    y_new = y + h * _weighted(_DOP_B, ks)
+    ks.append(drift(model, y_new))
     scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
-    err = np.abs(h * _weighted(_DP_E, ks)) / scale
-    return y_new, ks[-1], err.max(axis=(-2, -1))
+    e5, e3 = (
+        (np.abs(h * _weighted(e, ks)) / scale).max(axis=(-2, -1))
+        for e in (_DOP_E5, _DOP_E3)
+    )
+    with np.errstate(invalid="ignore"):  # 0 / 0 where both estimates vanish
+        err = e5 * e5 / np.sqrt(e5 * e5 + 0.01 * (e3 * e3))
+    return y_new, ks[-1], np.where(e5 == 0, 0.0, err)
 
 
 def _growth(err: float) -> float:
-    """Step-size factor 0.9 err^(-1/5) clamped to [0.2, 5].
+    """Step-size factor 0.9 err^(-1/8) clamped to [0.2, 5].
 
     Taken in Python floats, one member at a time, so that a member's steps
     never depend on the size of the stack it shares.
     """
-    return 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+    return 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err**-0.125))
 
 
 def _integrate_adaptive(model, h, times, margin):
-    """Sampled states and stats of the Dormand-Prince flow from h (M, B, n).
+    """Sampled states and stats of the DOP853 flow from h (M, B, n).
 
     Each member keeps its own time, step and error norm, and each round
     steps only the members short of the next sample time, so a member's
@@ -567,10 +582,10 @@ def _integrate_adaptive(model, h, times, margin):
             room = target - t[sel]
             landed = step[sel] >= room
             trial = np.minimum(step[sel], room)
-            y_new, slope_new, err = _dp_trial(
+            y_new, slope_new, err = _dop_trial(
                 model, h[sel], slope[sel], trial[:, None, None]
             )
-            calls += 6
+            calls += 12
             margins = _margins(y_new)
             valid = margins >= -_ITERATE_TOL
             ok = valid & (err <= 1.0)
@@ -602,8 +617,9 @@ def integrate(
     """Integrate the mean-field ODE, sampled at ``samples`` + 1 even times.
 
     The sample times include both endpoints; ``T`` must be finite and
-    nonnegative and ``samples`` at least 1.  The flow is integrated by an
-    error-controlled Dormand-Prince 5(4) pair (RTOL = ATOL = 1e-11) with
+    nonnegative, with ``T * model.rate_bound`` at most MAX_HORIZON, and
+    ``samples`` at least 1.  The flow is integrated by the error-controlled
+    Dormand-Prince 8(5,3) method DOP853 (RTOL = ATOL = 1e-11) with
     one step size per start: a trial step whose error norm exceeds 1 or
     whose result leaves the state space (tolerance 1e-8) is repeated with
     a smaller step, so every accepted state is valid and none is clipped.
@@ -615,6 +631,11 @@ def integrate(
     started = time.perf_counter()
     if not 0 <= T < math.inf:
         raise ValueError(f"horizon must be finite and nonnegative, got {T!r}")
+    if T * model.rate_bound > MAX_HORIZON:
+        raise ValueError(
+            f"horizon {T!r} is {T * model.rate_bound:.3g} event-rate units, "
+            f"above {MAX_HORIZON:.0e}"
+        )
     if samples < 1:
         raise ValueError(f"need at least one sample after the start, got {samples!r}")
     h = np.array(_as_h(h0, batch=True), dtype=float, copy=True)

@@ -176,7 +176,7 @@ def test_integrate_manifest_stats(tmp_path):
     stats = load(tmp_path, "manifest.json")["stats"]
     assert set(stats) == {"accepted_steps", "rejected_steps", "invalid_steps",
                           "drift_calls", "min_margin", "wall_s"}
-    assert stats["drift_calls"] == 1 + 6 * (stats["accepted_steps"]
+    assert stats["drift_calls"] == 1 + 12 * (stats["accepted_steps"]
                                             + stats["rejected_steps"])
     assert stats["min_margin"] >= -1e-8 and stats["wall_s"] > 0
     assert "stats" not in (tmp_path / "trajectory.csv").read_text()
@@ -219,6 +219,17 @@ def test_non_finite_horizons_exit_1(tmp_path):
         started = time.perf_counter()
         assert main(args + ["--out", str(tmp_path)]) == 1
         assert time.perf_counter() - started < 5
+        assert "horizon" in load(tmp_path, "manifest.json")["error"]
+
+
+def test_huge_horizons_exit_1(tmp_path):
+    # a finite horizon of 1e300 used to run until it was killed
+    src = model_file(tmp_path)
+    for args in (["integrate", src, "--t-final", "1e300", "--samples", "1"],
+                 ["verify", "attract", "--model", src, "--T", "1e300"]):
+        started = time.perf_counter()
+        assert main(args + ["--out", str(tmp_path)]) == 1
+        assert time.perf_counter() - started < 2
         assert "horizon" in load(tmp_path, "manifest.json")["error"]
 
 

@@ -338,6 +338,9 @@ def test_integrate_rejects_bad_horizon_and_samples(balanced_service):
     for T in (math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
             cf.integrate(model, np.zeros((4, 2)), T)
+    for T in (1e300, 1.01 * mfode.MAX_HORIZON / model.rate_bound):
+        with pytest.raises(ValueError, match="horizon .* event-rate units, above 1e\\+07"):
+            cf.integrate(model, np.zeros((4, 2)), T)
     for samples in (0, -2):
         with pytest.raises(ValueError, match="at least one sample"):
             cf.integrate(model, np.zeros((4, 2)), 1.0, samples=samples)
@@ -377,10 +380,41 @@ def test_integrate_stats_count_steps(balanced_service, rng):
     traj = cf.integrate(model, cf.random_state(5, 2, rng), 8.0, samples=4)
     stats = traj.stats
     assert stats.accepted_steps >= 4 and stats.invalid_steps <= stats.rejected_steps
-    assert stats.drift_calls == 1 + 6 * (stats.accepted_steps + stats.rejected_steps)
+    assert stats.drift_calls == 1 + 12 * (stats.accepted_steps + stats.rejected_steps)
     # the samples are accepted states; the steps between them count too
     assert -1e-8 <= stats.min_margin <= min(float(_margins(s)) for s in traj.states)
     assert stats.wall_s > 0
+
+
+def test_transient_from_empty_takes_few_steps(balanced_service):
+    # the meanfield benchmark's trajectory; a fifth-order pair took 594
+    # accepted steps and 3,583 drift calls at the same tolerance
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=25, d=2)
+    stats = cf.integrate(model, cf.zero_state(25, 2), 100.0, samples=50).stats
+    assert stats.accepted_steps <= 250
+    assert stats.drift_calls <= 2600
+
+
+def test_dop853_tableau_order_conditions():
+    # pinned in pure Python on the tableau the integrator uses, against the
+    # nodes of Hairer's dop853, so that a change of the source is noticed
+    nodes = (0.0, 0.526001519587677318785587544488e-1,
+             0.789002279381515978178381316732e-1, 0.118350341907227396726757197510,
+             0.281649658092772603273242802490, 1 / 3, 0.25, 4 / 13,
+             0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+             1.0)
+    rows = mfode._DOP_A
+    assert len(rows) == 11 and [len(row) for row in rows] == list(range(1, 12))
+    for row, c in zip(rows, nodes[1:]):
+        assert math.fsum(row) == pytest.approx(c, abs=1e-14)
+    b = mfode._DOP_B
+    assert len(b) == 12
+    for k in range(8):
+        assert math.fsum(w * c**k for w, c in zip(b, nodes)) == pytest.approx(
+            1 / (k + 1), abs=1e-14)
+    for e in (mfode._DOP_E5, mfode._DOP_E3):
+        assert len(e) == 13 and e[-1] == 0.0
+        assert abs(math.fsum(e)) <= 1e-14
 
 
 def test_stack_member_matches_its_solo_run(balanced_service, rng):
