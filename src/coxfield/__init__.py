@@ -32,6 +32,7 @@ from .dist import (
     pdf,
     random_coxian_decreasing,
     random_hyperexp,
+    raw_moments,
     remaining_service_times,
     telescoping_rate_sum,
 )

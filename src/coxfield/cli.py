@@ -32,8 +32,8 @@ from .dist import (
     fit_hyperexp2,
     has_decreasing_completion_rates,
     hyperexp_to_coxian,
-    moments,
     normalized_moments,
+    raw_moments,
     CoxianDistribution,
 )
 from .mfode import (
@@ -120,6 +120,7 @@ def _cmd_convert(args):
     cox = dist if isinstance(dist, CoxianDistribution) else hyperexp_to_coxian(dist)
     check = has_decreasing_completion_rates(cox)
     mix = coxian_to_mixture(cox)
+    m1, m2, m3 = raw_moments(dist, 3)
     out = {
         "input": distribution_to_dict(dist),
         "coxian": distribution_to_dict(cox),
@@ -134,14 +135,10 @@ def _cmd_convert(args):
             "rates": list(mix.rates),
             "is_hyperexponential": mix.is_hyperexponential,
         },
-        "moments": {
-            "m1": moments(dist, 1),
-            "m2": moments(dist, 2),
-            "m3": moments(dist, 3),
-        },
+        "moments": {"m1": m1, "m2": m2, "m3": m3},
     }
     if not isinstance(dist, CoxianDistribution):
-        grid = np.linspace(0.1, 5.0, 50) * moments(dist, 1)
+        grid = np.linspace(0.1, 5.0, 50) * m1
         gap = float(np.max(np.abs(cdf(dist, grid) - cdf(cox, grid))))
         out["cdf_max_gap"] = gap
         if gap > (args.tol or 1e-10):

@@ -67,8 +67,8 @@ class CoxianDistribution:
             )
         if any(r <= 0 or not math.isfinite(r) for r in rates):
             raise ValueError(f"rates must be positive and finite, got {rates}")
-        if any(p < 0 or p >= 1 for p in conts):
-            raise ValueError(f"continuations must lie in [0, 1), got {conts}")
+        if any(not 0.0 <= p < 1.0 for p in conts):
+            raise ValueError(f"continuations must be finite and in [0, 1), got {conts}")
         if conts[-1] != 0.0:
             raise ValueError(f"last continuation must be 0, got {conts[-1]}")
 
@@ -116,8 +116,8 @@ class HyperExponential:
             raise ValueError(
                 f"got {len(w)} weights for {len(rates)} rates"
             )
-        if any(v <= 0 for v in w):
-            raise ValueError(f"weights must be strictly positive, got {w}")
+        if any(not (v > 0 and math.isfinite(v)) for v in w):
+            raise ValueError(f"weights must be positive and finite, got {w}")
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got sum {sum(w)!r}")
         if any(r <= 0 or not math.isfinite(r) for r in rates):
@@ -171,6 +171,10 @@ class MomentTriple:
     n3: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.m1, self.n2, self.n3)):
+            raise ValueError(
+                f"moments must be finite, got ({self.m1}, {self.n2}, {self.n3})"
+            )
         if self.m1 <= 0:
             raise ValueError(f"m1 must be positive, got {self.m1}")
         if self.n2 < 1 or self.n3 < 1:
@@ -231,9 +235,8 @@ def hyperexp_to_coxian(hyper: HyperExponential) -> CoxianDistribution:
     CoxianDistribution
         Equivalent Coxian on the sorted rates, p_i in (0, 1) for i < n.
     """
-    order = np.argsort(-np.asarray(hyper.rates))
-    mu = [hyper.rates[j] for j in order]
-    w = [hyper.weights[j] for j in order]
+    # rates are distinct, so the order is unique and weights never compare
+    mu, w = zip(*sorted(zip(hyper.rates, hyper.weights), reverse=True))
     n = len(mu)
     if n == 1:
         return CoxianDistribution((mu[0],), (0.0,))
@@ -255,7 +258,7 @@ def hyperexp_to_coxian(hyper: HyperExponential) -> CoxianDistribution:
             )
         conts.append(p_i)
     conts.append(0.0)
-    return CoxianDistribution(tuple(mu), tuple(conts))
+    return CoxianDistribution(mu, tuple(conts))
 
 
 def coxian_to_mixture(cox: CoxianDistribution) -> SignedMixture:
@@ -309,10 +312,10 @@ def has_decreasing_completion_rates(
         default demands strict decrease, except that ties within 1e-12 are
         reported as a boundary case and accepted with margin 0.
     """
-    nu = cox.completion_rates
     if cox.n == 1:
         return CompletionRateCheck(True, math.inf, False)
-    margin = float(np.min(nu[:-1] - nu[1:]))
+    nu = [m * (1.0 - p) for m, p in zip(cox.rates, cox.continuations)]
+    margin = min(a - b for a, b in zip(nu, nu[1:]))
     boundary = -BOUNDARY_TOL <= margin <= 0.0
     is_member = margin > -tol or boundary
     return CompletionRateCheck(is_member, 0.0 if boundary else margin, boundary)
@@ -325,7 +328,7 @@ def remaining_service_times(cox: CoxianDistribution) -> np.ndarray:
     distributions R_1 = 1, and decreasing completion rates make the vector
     strictly increasing.
     """
-    return _solve_neg_generator(cox.rates, cox.continuations, np.ones(cox.n))
+    return np.array(_neg_generator_solves(cox.rates, cox.continuations, 1)[0])
 
 
 def normalize_to_unit_mean(cox: CoxianDistribution) -> CoxianDistribution:
@@ -337,51 +340,59 @@ def normalize_to_unit_mean(cox: CoxianDistribution) -> CoxianDistribution:
 
 
 def _phase_form(dist: Distribution):
-    """Unified (alpha, rates, continuations) phase representation."""
+    """Unified (alpha, rates, continuations) phase representation, as tuples."""
     if isinstance(dist, CoxianDistribution):
-        alpha = np.zeros(dist.n)
-        alpha[0] = 1.0
-        return alpha, np.asarray(dist.rates), np.asarray(dist.continuations)
+        return (1.0,) + (0.0,) * (dist.n - 1), dist.rates, dist.continuations
     if isinstance(dist, HyperExponential):
-        return (
-            np.asarray(dist.weights),
-            np.asarray(dist.rates),
-            np.zeros(dist.k),
-        )
+        return dist.weights, dist.rates, (0.0,) * dist.k
     raise TypeError(f"unsupported distribution type {type(dist).__name__}")
 
 
-def moments(dist: Distribution, k: int) -> float:
-    """Raw moment m_k = k! * alpha (-S)^{-k} 1 by back-substitution.
+def _neg_generator_solves(rates, conts, k: int) -> list:
+    """y_1..y_k with (-S) y_j = y_{j-1} and y_0 = 1, as lists of floats.
+
+    S is upper bidiagonal, so each solve is one backward sweep,
+    x_i = v_i / mu_i + p_i x_{i+1}; on a handful of phases plain floats
+    beat numpy's per-call cost.
+    """
+    n = len(rates)
+    ys, y = [], [1.0] * n
+    for _ in range(k):
+        x, nxt = [0.0] * n, 0.0
+        for i in range(n - 1, -1, -1):
+            nxt = x[i] = y[i] / rates[i] + conts[i] * nxt
+        ys.append(x)
+        y = x
+    return ys
+
+
+def raw_moments(dist: Distribution, k: int) -> tuple:
+    """Raw moments (m_1, ..., m_k), m_j = j! * alpha (-S)^{-j} 1.
 
     The phase generator is upper bidiagonal, so each (-S)^{-1} application
-    is a single backward sweep; no matrix is ever inverted.  Works for both
-    representations through the shared phase form.
+    is a single backward sweep; no matrix is ever inverted, and m_j reuses
+    the sweeps of m_{j-1}.  Works for both representations through the
+    shared phase form.
     """
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
     alpha, rates, conts = _phase_form(dist)
-    y = np.ones(len(rates))
-    for _ in range(k):
-        y = _solve_neg_generator(rates, conts, y)
-    return math.factorial(k) * float(alpha @ y)
+    # np.dot, not a Python sum: BLAS accumulates with fused multiply-adds
+    alpha = np.array(alpha)
+    return tuple(
+        math.factorial(j) * float(np.dot(alpha, y))
+        for j, y in enumerate(_neg_generator_solves(rates, conts, k), start=1)
+    )
 
 
-def _solve_neg_generator(rates, conts, v):
-    """Solve (-S) x = v for upper-bidiagonal S, backwards."""
-    n = len(rates)
-    x = np.empty(n)
-    x[-1] = v[-1] / rates[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = v[i] / rates[i] + conts[i] * x[i + 1]
-    return x
+def moments(dist: Distribution, k: int) -> float:
+    """Raw moment m_k = k! * alpha (-S)^{-k} 1 (see :func:`raw_moments`)."""
+    return raw_moments(dist, k)[-1]
 
 
 def normalized_moments(dist: Distribution) -> MomentTriple:
     """MomentTriple (m1, m2/m1^2, m3/(m1 m2)) of a distribution."""
-    m1 = moments(dist, 1)
-    m2 = moments(dist, 2)
-    m3 = moments(dist, 3)
+    m1, m2, m3 = raw_moments(dist, 3)
     return MomentTriple(m1, m2 / m1 ** 2, m3 / (m1 * m2))
 
 
@@ -427,13 +438,16 @@ def fit_hyperexp2(
 
     # Branch means are the atoms of a two-point law whose power moments
     # are m_j / j!.  Their sum a and (negated) product b reduce to the
-    # expressions below; keeping n2 - 2 and companions as direct input
-    # subtractions avoids the cancellation of the generic moment route
-    # near the region boundary, and the small root comes from the root
-    # product rather than a - sqrt(disc).
-    a = m1 * n2 * (n3 - 3.0) / (3.0 * (n2 - 2.0))
-    b = -(m1 * m1) * n2 * (2.0 * n3 - 3.0 * n2) / (6.0 * (n2 - 2.0))
-    disc = a * a + 4.0 * b
+    # expressions below in u = n3 - 3 and v = n2 - 2, direct input
+    # subtractions that avoid the cancellation of the generic moment route
+    # near the exponential point (2n3 - 3n2 = 2u - 3v).  The discriminant
+    # a^2 + 4b is written as a sum of nonnegative terms, since forming it
+    # as a difference amplifies the rounding of b near a rate tie; the
+    # small root comes from the root product rather than a - sqrt(disc).
+    u, v = n3 - 3.0, n2 - 2.0
+    a = m1 * n2 * u / (3.0 * v)
+    b = -(m1 * m1) * n2 * (2.0 * u - 3.0 * v) / (6.0 * v)
+    disc = (m1 * m1) * n2 * (2.0 * (u - 3.0 * v) ** 2 + v * u * u) / (9.0 * v * v)
     if disc <= 0.0:
         raise ValueError(
             f"target {target} has no real two-branch solution"

@@ -39,7 +39,7 @@ class MeanFieldState:
         h = np.array(self.h, dtype=float, copy=True)
         if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
             raise ValueError(f"state must be a (B, n) array, got shape {h.shape}")
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError("state entries must be finite")
         object.__setattr__(self, "h", h)
 
@@ -68,7 +68,7 @@ class OccupancyState:
         x = np.array(self.x, dtype=float, copy=True)
         if x.ndim != 2:
             raise ValueError(f"occupancy must be a (B, n) array, got {x.shape}")
-        if self.idle < 0 or np.any(x < 0):
+        if self.idle < 0 or (x < 0).any():
             raise ValueError("occupancy fractions must be nonnegative")
         total = self.idle + float(x.sum())
         if abs(total - 1.0) > 1e-9:
@@ -108,7 +108,7 @@ def _as_h(state: StateLike, batch: bool = False) -> np.ndarray:
     if isinstance(state, MeanFieldState):
         return state.h
     h = np.asarray(state, dtype=float)
-    if h.ndim < 2 or (h.ndim > 2 and not batch):
+    if h.ndim < 2 or (h.ndim > 2 and not batch) or 0 in h.shape[-2:]:
         shape = "(B, n) array or a stack of them" if batch else "(B, n) array"
         raise ValueError(f"state must be a {shape}, got shape {h.shape}")
     return h
@@ -260,24 +260,22 @@ def _tail_sums(x: np.ndarray) -> np.ndarray:
     Inverse of ``_cell_diffs(_phase_diffs(.))``: tail sums over levels,
     then over phases.
     """
-    t = np.flip(np.cumsum(np.flip(x, axis=-2), axis=-2), axis=-2)
-    return np.flip(np.cumsum(np.flip(t, axis=-1), axis=-1), axis=-1)
+    t = np.cumsum(x[..., ::-1, :], axis=-2)[..., ::-1, :]
+    return np.cumsum(t[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _suffix_min(a: np.ndarray) -> np.ndarray:
     """b[..., l] = min_{l' >= l} a[..., l']."""
-    return np.flip(np.minimum.accumulate(np.flip(a, axis=-1), axis=-1), axis=-1)
+    return np.minimum.accumulate(a[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _suffix_argmin(a: np.ndarray):
-    """Suffix minima of a and the largest index attaining each (-1 while inf)."""
-    vals, idx = np.full(len(a), np.inf), np.full(len(a), -1)
-    best, best_idx = np.inf, -1
-    for l in range(len(a) - 1, -1, -1):
-        if a[l] < best:
-            best, best_idx = a[l], l
-        vals[l], idx[l] = best, best_idx
-    return vals, idx
+def _nan_min(vals: list) -> float:
+    """Smallest entry of a list, NaN if any entry is NaN (as numpy's min).
+
+    A non-finite state gives NaN gaps, and a NaN gap must fail the order
+    rather than lose to a finite one.
+    """
+    return math.nan if any(map(math.isnan, vals)) else min(vals)
 
 
 def _leq_arrays(h: np.ndarray, ht: np.ndarray, tol: float):
@@ -288,7 +286,7 @@ def _leq_arrays(h: np.ndarray, ht: np.ndarray, tol: float):
     sequences; once componentwise ordering holds, constant sequences have
     nonnegative gaps, so including them never flips the decision.
     """
-    comp_ok = np.all(ht >= h - tol, axis=(-2, -1))
+    comp_ok = (ht >= h - tol).all(axis=(-2, -1))
     n = h.shape[-1]
     if n == 1:
         dp_min = np.full(h.shape[:-2], np.inf)
@@ -328,40 +326,51 @@ def leq_report(h: StateLike, other: StateLike, tol: float = ORDER_TOL) -> LeqRep
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     B, n = a.shape
-    comp_ok = bool(np.all(b >= a - tol))
+    comp_ok = bool((b >= a - tol).all())
     if n == 1:
         return LeqReport(comp_ok, comp_ok, math.inf, math.inf, None)
 
-    d = _phase_diffs(b) - _phase_diffs(a)
+    d = (_phase_diffs(b) - _phase_diffs(a)).T.tolist()
     # two-track DP: E = best prefix that stayed constant, N = best prefix
     # that already dropped a level; only N-prefixes can end admissibly.
-    # Per stage and level: whether the best came from N, and from which level
-    e_val = d[:, 0].copy()
-    n_val = np.full(B, np.inf)
+    # One backward pass per phase builds both suffix minima (the largest
+    # level attaining each, -1 while every candidate is inf) and records
+    # per level whether the best came from N, and from which level.
+    e_val = d[0]
+    n_val = [math.inf] * B
     from_n, preds = [], []
     for i in range(1, n):
-        suf_val, suf_idx = _suffix_argmin(n_val)
-        drop_val, drop_idx = _suffix_argmin(np.append(e_val[1:], np.inf))
-        take_n = suf_val <= drop_val
+        col = d[i]
+        take_n, pred, new_n = [False] * B, [-1] * B, [0.0] * B
+        suf, suf_l = math.inf, -1  # min of n_val[l:]
+        drop, drop_l = math.inf, -1  # min of e_val[l+1:]
+        for l in range(B - 1, -1, -1):
+            if n_val[l] < suf:
+                suf, suf_l = n_val[l], l
+            if suf <= drop:
+                take_n[l], pred[l], new_n[l] = True, suf_l, col[l] + suf
+            else:
+                pred[l], new_n[l] = drop_l, col[l] + drop
+            if e_val[l] < drop:
+                drop, drop_l = e_val[l], l
         from_n.append(take_n)
-        preds.append(np.where(take_n, suf_idx, drop_idx + (drop_idx >= 0)))
-        n_val = d[:, i] + np.where(take_n, suf_val, drop_val)
-        e_val = e_val + d[:, i]
+        preds.append(pred)
+        n_val = new_n
+        e_val = [e + c for e, c in zip(e_val, col)]
 
-    end = int(np.argmin(n_val))
-    nonconst_min = float(n_val[end])
-    min_gap = float(np.minimum(e_val.min(), nonconst_min))
+    nonconst_min = _nan_min(n_val)
+    min_gap = _nan_min(e_val + [nonconst_min])
     ok = comp_ok and min_gap >= -tol
     witness = None
     if nonconst_min < -tol:
-        seq = [end]  # levels from the last phase back
+        seq = [n_val.index(nonconst_min)]  # levels from the last phase back
         for i in range(n - 2, -1, -1):
             level = preds[i][seq[-1]]
             if not from_n[i][seq[-1]]:
                 seq += [level] * (i + 1)
                 break
             seq.append(level)
-        witness = tuple(int(l) + 1 for l in reversed(seq))
+        witness = tuple(l + 1 for l in reversed(seq))
     return LeqReport(ok, comp_ok, min_gap, nonconst_min, witness)
 
 

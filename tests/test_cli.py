@@ -64,6 +64,27 @@ def test_convert_coxian_reports_membership(tmp_path):
     assert not out["class"]["is_member"]
 
 
+@pytest.mark.parametrize("dist", [
+    {"kind": "hyperexp", "weights": [float("nan")], "rates": [1.0]},
+    {"kind": "hyperexp", "weights": [0.5, float("nan")], "rates": [1.0, 2.0]},
+    {"kind": "coxian", "rates": [2.0, 1.0], "continuations": [float("nan"), 0.0]},
+])
+def test_convert_rejects_non_finite_parameters(tmp_path, dist):
+    src = write(tmp_path / "dist.json", dist)
+    assert main(["convert", src, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "convert.json").exists()
+    assert "finite" in load(tmp_path, "manifest.json")["error"]
+
+
+@pytest.mark.parametrize("moments", [
+    ["--m1", "1", "--n2", "nan", "--n3", "5"],
+    ["--m1", "inf", "--n2", "3", "--n3", "5"],
+])
+def test_fit_rejects_non_finite_moments(tmp_path, moments):
+    assert main(["fit", *moments, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_convert_exit_codes(tmp_path):
     assert main(["convert", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
     bad = tmp_path / "bad.json"

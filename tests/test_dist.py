@@ -6,6 +6,7 @@ mixture survival, and exact Fraction arithmetic for the partial-fraction
 weights.  Library results must match those, never each other.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -291,6 +292,21 @@ def test_fit_round_trip(rng):
         assert got.n3 == pytest.approx(tri.n3, rel=1e-10)
 
 
+def test_fit_near_rate_ties():
+    """Round trip at 1e-12 where n2 - 2 and n3 - 3 are tiny (close rates)."""
+    cases = [cf.HyperExponential((0.12861542884654742, 0.8713845711534526),
+                                 (0.17836018563024567, 0.1777355292623396))]
+    for gap in (1e-2, 1e-3, 1e-4, 1e-5):
+        for w, mu in ((0.1, 0.3), (0.5, 1.0), (0.9, 40.0)):
+            cases.append(cf.HyperExponential((w, 1.0 - w), (mu * (1.0 + gap), mu)))
+    for hyper in cases:
+        tri = cf.normalized_moments(hyper)
+        got = cf.normalized_moments(cf.fit_hyperexp2(tri))
+        assert got.m1 == pytest.approx(tri.m1, rel=1e-12)
+        assert got.n2 == pytest.approx(tri.n2, rel=1e-12)
+        assert got.n3 == pytest.approx(tri.n3, rel=1e-12)
+
+
 def test_fit_rejects_outside_region():
     for n2, n3 in ((2.5, 3.6), (1.9, 6.0), (3.0, 4.5), (2.5, 3.75)):
         with pytest.raises(ValueError):
@@ -365,3 +381,83 @@ def test_validation_messages():
         cf.MomentTriple(-1.0, 2.5, 4.0)
     with pytest.raises(ValueError):
         cf.moments(cf.CoxianDistribution((1.0,), (0.0,)), 0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cf.HyperExponential((NAN,), (1.0,)),
+    lambda: cf.HyperExponential((0.5, NAN), (1.0, 2.0)),
+    lambda: cf.HyperExponential((INF, 0.5), (1.0, 2.0)),
+    lambda: cf.HyperExponential((0.5, 0.5), (1.0, NAN)),
+    lambda: cf.CoxianDistribution((2.0, 1.0), (NAN, 0.0)),
+    lambda: cf.CoxianDistribution((2.0, 1.0), (0.5, NAN)),
+    lambda: cf.CoxianDistribution((NAN, 1.0), (0.5, 0.0)),
+    lambda: cf.MomentTriple(1.0, NAN, 5.0),
+    lambda: cf.MomentTriple(INF, 3.0, 5.0),
+    lambda: cf.MomentTriple(1.0, 3.0, INF),
+    lambda: cf.MomentTriple(NAN, 3.0, 5.0),
+])
+def test_non_finite_parameters_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+
+
+def plain(value):
+    """Python scalars, tuples and lists in place of numpy ones."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (tuple, list)):
+        return type(value)(plain(v) for v in value)
+    return value
+
+
+def digest(records):
+    """SHA-256 over the exact reprs of the records' plain values."""
+    h = hashlib.sha256()
+    for record in records:
+        h.update(repr(plain(record)).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+def test_golden_conversion_class_and_moments():
+    """Conversions, class checks and moments hash to a pinned SHA-256."""
+    rng = np.random.default_rng(1010)
+    records, dists = [], []
+    for _ in range(300):
+        hyper = cf.random_hyperexp(rng)
+        cox = cf.hyperexp_to_coxian(hyper)
+        records.append((cox.rates, cox.continuations))
+        dists += [hyper, cox]
+    for _ in range(200):  # any continuations, so members and non-members
+        n = int(rng.integers(1, 7))
+        conts = rng.uniform(0.0, 0.95, size=n)
+        conts[-1] = 0.0
+        rates = np.exp(rng.uniform(-3.0, 3.0, size=n))
+        dists.append(cf.CoxianDistribution(tuple(rates), tuple(conts)))
+    dists += [cf.random_coxian_decreasing(rng) for _ in range(100)]
+    dists += [  # a tie, a tie within BOUNDARY_TOL, and one beyond it
+        cf.CoxianDistribution((1.0, 0.5), (0.5, 0.0)),
+        cf.CoxianDistribution((1.0, 0.5 + 5e-13), (0.5, 0.0)),
+        cf.CoxianDistribution((1.0, 0.5 + 5e-12), (0.5, 0.0)),
+    ]
+    for dist in dists:
+        if isinstance(dist, cf.CoxianDistribution):
+            for tol in (0.0, 1e-9):
+                check = cf.has_decreasing_completion_rates(dist, tol)
+                records.append((check.is_member, check.margin, check.boundary))
+            records.append(cf.remaining_service_times(dist))
+        records.append(tuple(cf.moments(dist, k) for k in (1, 2, 3)))
+        tri = cf.normalized_moments(dist)
+        records.append((tri.m1, tri.n2, tri.n3))
+    assert digest(records) == (
+        "17bac2e571c66122d4de25677db7d34e97f7021a33226e93377e3f0c97cd6bd6"
+    )

@@ -5,6 +5,7 @@ sequences evaluated through the definitional functional, which uses a
 different summation route than the DP.
 """
 
+import hashlib
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import coxfield as cf
 from coxfield.dist import SchemaError
-from coxfield.order import _as_h
+from coxfield.order import ORDER_TOL, _as_h
 
 
 def enum_leq(lo, hi, tol=1e-9):
@@ -149,6 +150,23 @@ def test_dp_matches_enumeration(rng):
     assert 0 < ordered < 400
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("call", [
+    lambda h: cf.leq(h, h),
+    lambda h: cf.leq_report(h, h),
+    lambda h: cf.state_space_report(h),
+])
+def test_empty_raw_states_are_rejected(call, shape):
+    with pytest.raises(ValueError, match=r"state must be a \(B, n\) array"):
+        call(np.zeros(shape))
+
+
+def test_empty_stack_of_states_is_allowed():
+    assert _as_h(np.zeros((0, 3, 2)), batch=True).shape == (0, 3, 2)
+    with pytest.raises(ValueError, match="stack"):
+        _as_h(np.zeros((2, 0, 3)), batch=True)
+
+
 def test_two_state_example_is_incomparable():
     h = np.array([[1.0, 0.5], [0.5, 0.0]])
     ht = np.array([[1.0, 0.5], [0.5, 0.5]])
@@ -254,3 +272,56 @@ def test_state_dict_schema_errors():
         cf.state_from_dict({"B": 2, "n": 2})
     with pytest.raises(SchemaError):
         cf.state_from_dict({"B": 3, "n": 2, "h": [[0.1, 0.0]]})
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+
+
+def dyadic_state(B, n, rng):
+    """Valid state with entries in sixteenths, so the DP meets exact ties."""
+    raw = rng.multinomial(16, np.full(B * n + 1, 1.0 / (B * n + 1))) / 16.0
+    return cf.from_occupancy(cf.OccupancyState(float(raw[0]), raw[1:].reshape(B, n)))
+
+
+def test_golden_order_decisions_and_reports():
+    """leq, leq_report and state_space_report hash to a pinned SHA-256."""
+    rng = np.random.default_rng(2020)
+    pairs = []
+    for k in range(600):
+        B, n = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        pairs.append(random_pair(rng, B, n, k % 3))
+    for _ in range(200):
+        B, n = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        pairs.append((dyadic_state(B, n, rng), dyadic_state(B, n, rng)))
+    for B, n in ((40, 4), (200, 2), (9, 6)):
+        pairs += [(cf.random_state(B, n, rng), cf.random_state(B, n, rng)) for _ in range(3)]
+    h = hashlib.sha256()
+    for k, (lo, hi) in enumerate(pairs):
+        tol = (ORDER_TOL, 0.0, 1e-3)[k % 3]
+        for a, b in ((lo, hi), (hi, lo)):
+            r = cf.leq_report(a, b, tol)
+            record = (cf.leq(a, b, tol), r.ok, r.componentwise_ok, float(r.min_gap),
+                      float(r.nonconstant_min_gap), r.witness)
+            h.update(repr(record).encode())
+        probe = np.array(_as_h(hi), copy=True)
+        B, n = probe.shape
+        if k % 5 == 0:  # a non-finite cell must fail the order, not vanish
+            bad = probe.copy()
+            bad[rng.integers(B), rng.integers(n)] = (np.nan, np.inf, -np.inf)[k % 3]
+            with np.errstate(invalid="ignore"):
+                r = cf.leq_report(lo, bad, tol)
+                record = (cf.leq(lo, bad, tol), r.ok, r.componentwise_ok,
+                          float(r.min_gap), float(r.nonconstant_min_gap), r.witness)
+            h.update(repr(record).encode())
+        if k % 4 == 1:
+            probe[rng.integers(B), rng.integers(n)] += 0.3
+        elif k % 4 == 2:
+            probe[rng.integers(B), rng.integers(n)] -= 0.2
+        elif k % 4 == 3 and k % 3 == 0:
+            probe[rng.integers(B), rng.integers(n)] = np.nan
+        space = cf.state_space_report(probe)
+        h.update(repr((space.ok, space.violations)).encode())
+    assert h.hexdigest() == (
+        "315fc2bbf81a2170083b8c3374ae967ea2881c00cbadaf369f978bc325949c7c"
+    )
