@@ -15,19 +15,27 @@ a service part shared by every policy and a policy-specific arrival part:
   "pullpush" is (1, 1) for its uniform local arrivals plus a pull term:
   idle servers pull one waiting job from a uniform peer at rate r.
 
-Column 1 gets lam (F(h_{l-1,1}) - F(h_{l,1})).  Phase columns i >= 2 get
-lam times the exact-length phase mass (h_{l-1,i} - h_{l,i}) times the
-divided difference of F between h_{l,1} and h_{l-1,1}, evaluated by
-Gauss-Legendre quadrature of F' along the segment, which is exact for
-polynomials and free of the cancellation a raw difference quotient
-suffers when the two tail values nearly coincide.  The constants of F,
-the quadrature rule and the service rates are built once per model.
+Level 1 gets lam (K - F(h_{1,1})) in column 1.  Every column i of a
+level l >= 2 gets lam times the exact-length mass (h_{l-1,i} - h_{l,i})
+times the divided difference of F between h_{l,1} and h_{l-1,1}; in
+column 1 that is lam (F(h_{l-1,1}) - F(h_{l,1})).  The divided difference
+is evaluated by Gauss-Legendre quadrature of F' along the segment, which
+is exact for polynomials and free of the cancellation a raw difference
+quotient suffers when the two tail values nearly coincide.
+
+The drift is compiled once per model (``_DriftTerms``).  The service part
+is linear and couples a level only to the level above it, so it is one
+(n, n) operator per level, h @ same, plus a column-1 term h_{l+1} @ below.
+The arrival part keeps lam folded into the constants of F and of its
+quadrature rule, and is added in place.
 
 Integration is an error-controlled Dormand-Prince 8(5,3) method, DOP853,
 written here, batched and deterministic: each start of a stack keeps its
 own step, so its numbers do not depend on the other starts, and a trial
 step whose result leaves the state space is repeated with a smaller
-step, never clipped.  It is the one flow: the certificates, including the
+step, never clipped.  A trial keeps its 13 stages in one buffer, and each
+stage sum is one einsum call that adds the stages in order, member by
+member.  It is the one flow: the certificates, including the
 Lyapunov look-ahead, take their states from it.  Fixed points are
 found by pseudo-transient continuation from the empty state, or from the
 full state when the load lam K is at least 1: backward-
@@ -295,24 +303,33 @@ def _poly(x, terms):
     """Sum of c x^a (1-x)^b over the (c, a, b) terms, in their order."""
     acc = None
     for c, a, b in terms:
-        term = x**a if c == 1 else c * x**a
-        term = term * (1 - x) ** b if b else term
+        term = c * x if a == 1 else c * x**a
+        if b:
+            term = term * (1 - x if b == 1 else (1 - x) ** b)
         acc = term if acc is None else acc + term
     return acc
 
 
-def _gl_rule(d: int):
-    """Gauss-Legendre nodes and weights on [0, 1], exact up to degree d - 1."""
+def _gl_terms(K: int, d: int, scale: float = 1.0) -> tuple:
+    """Gauss-Legendre rule for the mean of F'_{K,d} on a segment, times scale.
+
+    One (t, terms) pair per node t on [0, 1], its weight and ``scale``
+    folded into the constants of F''s terms; exact for F' of degree d - 1.
+    Nodes and constants are Python floats.
+    """
     u, w = np.polynomial.legendre.leggauss(max(1, (d + 1) // 2))
-    return (u + 1.0) / 2.0, w / 2.0
+    prime = _prime_terms(K, d)
+    return tuple(
+        ((t + 1.0) / 2.0, tuple((wt / 2.0 * scale * c, a, b) for c, a, b in prime))
+        for t, wt in zip(u.tolist(), w.tolist())
+    )
 
 
-def _slope(x1, gap, prime, nodes, weights):
+def _slope(x1, gap, rule):
     """Divided difference of F between x1 and x1 + gap: the mean of F'."""
     acc = None
-    for t, w in zip(nodes, weights):
-        term = _poly(x1 + t * gap, prime)
-        term = term if w == 1 else w * term
+    for t, terms in rule:
+        term = _poly(x1 + t * gap, terms)
         acc = term if acc is None else acc + term
     return acc
 
@@ -353,7 +370,7 @@ def batch_overflow_slope(x1, x2, K: int, d: int):
     _check_kd(K, d)
     x1 = _check_unit(x1, "x1")
     x2 = _check_unit(x2, "x2")
-    return _slope(x1, x2 - x1, _prime_terms(K, d), *_gl_rule(d))
+    return _slope(x1, x2 - x1, _gl_terms(K, d))
 
 
 # ---------------------------------------------------------------------------
@@ -361,68 +378,75 @@ def batch_overflow_slope(x1, x2, K: int, d: int):
 
 
 class _DriftTerms:
-    """Drift constants of one model, built once by ``PolicyModel._terms``.
+    """The drift of one model, compiled once by ``PolicyModel._terms``.
 
-    Arrivals follow the overflow polynomial of ``model.arrival``'s (K, d)
-    and ``pull`` is its probe rate.  ``nu`` are the completion rates and
-    ``advance`` the phase-advance rates mu_i p_i.
+    The service drift is linear and couples level l only to level l + 1:
+    it is ``h @ same`` plus ``h_{l+1} @ below`` in column 1 of level l,
+    with ``same`` (n, n) and ``below`` (n,) built from the completion rates
+    nu_j = mu_j (1 - p_j) and the phase-advance rates mu_i p_i.  Arrivals
+    follow the overflow polynomial of ``model.arrival``'s (K, d), with lam
+    folded into its constants and into the quadrature rule of its slope;
+    ``pull`` is the probe rate.  Each stack member's rows are computed on
+    their own, so its bytes do not depend on the rest of the stack.
     """
 
     def __init__(self, model: PolicyModel):
-        self.K, d, self.pull = model.arrival
-        self.lam = model.lam
-        self.overflow = _overflow_terms(self.K, d)
-        self.prime = _prime_terms(self.K, d)
-        self.nodes, self.weights = _gl_rule(d)
+        K, d, self.pull = model.arrival
+        lam = model.lam
+        self.lam_K = lam * K
+        self.overflow = tuple((lam * c, a, b) for c, a, b in _overflow_terms(K, d))
+        self.rule = _gl_terms(K, d, lam)
         rates = np.asarray(model.service.rates, dtype=float)
         conts = np.asarray(model.service.continuations, dtype=float)
-        self.nu = rates * (1 - conts)
-        self.advance = rates[:-1] * conts[:-1]
+        nu = rates * (1 - conts)
+        # in the phase differences d_j = h_j - h_{j+1} of level l, phase i
+        # loses sum_{j>=i} nu_j d_j and gains mu_{i-1} p_{i-1} d_{i-1}, and
+        # phase 1 of level l - 1 gains sum_j nu_j d_j; d = h @ to_diffs
+        n = len(nu)
+        to_diffs = np.eye(n) - np.eye(n, k=-1)
+        by_diff = np.diag(rates[:-1] * conts[:-1], k=1)
+        by_diff -= np.tril(np.outer(nu, np.ones(n)))
+        self.same = to_diffs @ by_diff
+        self.below = to_diffs @ nu
 
+    def add_arrivals(self, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add the arrival drift at h (..., B, n) to ``out`` in place."""
+        q = h[..., 0]
+        out[..., 0, 0] += self.lam_K - _poly(q[..., 0], self.overflow)
+        x1 = q[..., 1:]
+        slope = _slope(x1, q[..., :-1] - x1, self.rule)
+        out[..., 1:, :] += (h[..., :-1, :] - h[..., 1:, :]) * slope[..., None]
+        if self.pull and h.shape[-2] > 1:
+            # a pull moves a waiting job from a length >= 2 server, which keeps
+            # its phase, to an idle server, which starts the job in phase 1
+            pull = self.pull * (1.0 - q[..., 0])
+            out[..., 0, 0] += pull * q[..., 1]
+            out[..., 1:, :] -= pull[..., None, None] * _cell_diffs(h[..., 1:, :])
+        return out
 
-def _service(nu, advance, h):
-    """Completion and phase-advance drift for rate vectors nu and advance."""
-    d_phase = _phase_diffs(h)
-    # reversed views: np.flip's axis normalisation costs more than the sum
-    tail = np.cumsum((d_phase * nu)[..., ::-1], axis=-1)[..., ::-1]
-    cells = _cell_diffs(d_phase)
-    out = np.empty_like(h)
-    out[..., 0] = -(cells @ nu)
-    out[..., 1:] = advance * d_phase[..., :-1] - tail[..., 1:]
-    return out
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        """The drift at a C-contiguous h (..., B, n)."""
+        out = h @ self.same
+        out[..., :-1, 0] += h[..., 1:, :] @ self.below
+        return self.add_arrivals(h, out)
 
 
 def arrival_drift(model: PolicyModel, h: StateLike) -> np.ndarray:
     """Arrival drift: the policy's overflow polynomial F, plus pullpush's pulls.
 
-    Column 1 gets lam (F(h_{l-1,1}) - F(h_{l,1})) with h_{0,1} = 1, where
-    F(1) = K.  Phase i >= 2 at level l >= 2 gets lam (h_{l-1,i} - h_{l,i})
-    times the divided difference of F between h_{l,1} and h_{l-1,1}.
+    Phase 1 of level 1 gets lam (K - F(h_{1,1})), as F(1) = K.  Every
+    phase i of level l >= 2 gets lam (h_{l-1,i} - h_{l,i}) times the divided
+    difference of F between h_{l,1} and h_{l-1,1}; in phase 1 that is
+    lam (F(h_{l-1,1}) - F(h_{l,1})), free of cancellation.
     """
     h = _as_h(h, batch=True)
-    t = model._terms
-    q = h[..., :, 0]
-    fq = _poly(q, t.overflow)
-    f = np.empty_like(h)
-    f[..., 0, 0] = t.K - fq[..., 0]
-    f[..., 1:, 0] = fq[..., :-1] - fq[..., 1:]
-    f[..., :, 0] *= t.lam
-    f[..., 0, 1:] = 0.0
-    slope = _slope(q[..., 1:], q[..., :-1] - q[..., 1:], t.prime, t.nodes, t.weights)
-    f[..., 1:, 1:] = t.lam * (h[..., :-1, 1:] - h[..., 1:, 1:]) * slope[..., None]
-    if t.pull and h.shape[-2] > 1:
-        # a pull moves a waiting job from a length >= 2 server, which keeps
-        # its phase, to an idle server, which starts the job in phase 1
-        pull = t.pull * (1.0 - q[..., 0])
-        f[..., 0, 0] += pull * q[..., 1]
-        f[..., 1:, :] -= pull[..., None, None] * _cell_diffs(h)[..., 1:, :]
-    return f
+    return model._terms.add_arrivals(h, np.zeros_like(h))
 
 
 def drift(model: PolicyModel, h: StateLike) -> np.ndarray:
     """Full right-hand side: policy arrivals plus service drift."""
-    h = _as_h(h, batch=True)
-    return arrival_drift(model, h) + _service(model._terms.nu, model._terms.advance, h)
+    # one memory layout, so that each state's rows take the same products
+    return model._terms(np.ascontiguousarray(_as_h(h, batch=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,40 +528,53 @@ _STEP_FLOOR = 1e-12
 # y + h sum_j _DOP_A[i][j] k_j, _DOP_B weighs the 12 stages into the
 # eighth-order result, whose drift is the next step's first stage (FSAL),
 # and _DOP_E5 and _DOP_E3 weigh them into the fifth- and third-order local
-# error estimates.
+# error estimates.  Each stage sum is one einsum, which adds the weighted
+# stages one at a time in stage order, so a member's sums depend on its
+# own stages alone.
+
+
+def _stage_weights(w) -> np.ndarray:
+    """The weights w as a view with a stride of two floats.
+
+    With unit-stride weights einsum sums the stages of a one-float state
+    as a dot product, in another order than the stages of a larger stack.
+    """
+    buf = np.zeros((len(w), 2))
+    buf[:, 0] = w
+    return buf[:, 0]
+
+
 _DOP_A = tuple(
-    tuple(row[:i].tolist()) for i, row in enumerate(_dop853.A[1 : _dop853.N_STAGES], 1)
+    _stage_weights(row[:i]) for i, row in enumerate(_dop853.A[1 : _dop853.N_STAGES], 1)
 )
-_DOP_B = tuple(_dop853.B.tolist())
-_DOP_E5 = tuple(_dop853.E5.tolist())
-_DOP_E3 = tuple(_dop853.E3.tolist())
+_DOP_B = _stage_weights(_dop853.B)
+_DOP_E5 = _stage_weights(_dop853.E5)
+_DOP_E3 = _stage_weights(_dop853.E3)
 
 
-def _weighted(weights, ks):
-    """sum_j w_j k_j over the nonzero weights, in order."""
-    acc = None
-    for w, k in zip(weights, ks):
-        if w:
-            acc = w * k if acc is None else acc + w * k
-    return acc
+def _stage_sum(w: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """sum_j w_j ks[j] over the first len(w) stages, in one einsum call."""
+    return np.einsum("j,j...->...", w, ks[: len(w)], optimize=False)
 
 
 def _dop_trial(model, y, k1, h):
     """One DOP853 trial step of per-member length h, shaped (M, 1, 1).
 
-    Returns the eighth-order result, its drift and the per-member error
-    norm e5^2 / sqrt(e5^2 + 0.01 e3^2), where e5 and e3 are the max over
-    (B, n) of |est| / (ATOL + RTOL max(|y|, |y_new|)) for the fifth- and
-    third-order estimates.
+    The 13 stages share one (13, M, B, n) buffer, and every stage sum is
+    one einsum over it.  Returns the eighth-order result, its drift and the
+    per-member error norm e5^2 / sqrt(e5^2 + 0.01 e3^2), where e5 and e3
+    are the max over (B, n) of |est| / (ATOL + RTOL max(|y|, |y_new|)) for
+    the fifth- and third-order estimates.
     """
-    ks = [k1]
-    for row in _DOP_A:
-        ks.append(drift(model, y + h * _weighted(row, ks)))
-    y_new = y + h * _weighted(_DOP_B, ks)
-    ks.append(drift(model, y_new))
+    ks = np.empty((len(_DOP_E5),) + y.shape)
+    ks[0] = k1
+    for s, row in enumerate(_DOP_A, 1):
+        ks[s] = drift(model, y + h * _stage_sum(row, ks))
+    y_new = y + h * _stage_sum(_DOP_B, ks)
+    ks[-1] = drift(model, y_new)
     scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
     e5, e3 = (
-        (np.abs(h * _weighted(e, ks)) / scale).max(axis=(-2, -1))
+        (np.abs(h * _stage_sum(e, ks)) / scale).max(axis=(-2, -1))
         for e in (_DOP_E5, _DOP_E3)
     )
     with np.errstate(invalid="ignore"):  # 0 / 0 where both estimates vanish
@@ -874,6 +911,8 @@ def _chunks(count: int, floats_per_start: int) -> list:
 def _starts_and_fixed_point(model: PolicyModel, starts) -> tuple:
     """``starts`` as an (M, B, n) stack, and the fixed point for buffer B."""
     starts = np.asarray(starts, dtype=float).reshape((-1,) + np.shape(starts)[-2:])
+    if not len(starts):
+        raise ValueError("need at least one start")
     fixed = model if model.B is not None else model.with_buffer(starts.shape[-2])
     return starts, fixed_point(fixed)
 
@@ -994,6 +1033,8 @@ def monotonicity_report(
     a, b = _as_h(lo, batch=True), _as_h(hi, batch=True)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    if not a.size:
+        raise ValueError("need at least one pair")
     if not np.all(_leq_arrays(a, b, tol)[0]):
         raise ValueError("initial states are not ordered")
     pairs = a.shape[:-2]

@@ -240,8 +240,9 @@ def level_phase_mass(state: StateLike, levels: Sequence[int]) -> float:
 
 def _phase_diffs(h: np.ndarray) -> np.ndarray:
     """d[..., l, i] = h_{l,i} - h_{l,i+1} with h_{.,n+1} = 0."""
-    pad = np.zeros(h.shape[:-1] + (1,))
-    return h - np.concatenate([h[..., 1:], pad], axis=-1)
+    d = h.copy()
+    d[..., :-1] -= h[..., 1:]
+    return d
 
 
 def _cell_diffs(d: np.ndarray) -> np.ndarray:
@@ -250,8 +251,9 @@ def _cell_diffs(d: np.ndarray) -> np.ndarray:
     Applied to phase differences this is the cell occupancy: the mass
     with queue length exactly l in phase exactly i.
     """
-    pad = np.zeros(d.shape[:-2] + (1,) + d.shape[-1:])
-    return d - np.concatenate([d[..., 1:, :], pad], axis=-2)
+    x = d.copy()
+    x[..., :-1, :] -= d[..., 1:, :]
+    return x
 
 
 def _tail_sums(x: np.ndarray) -> np.ndarray:

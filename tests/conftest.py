@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -14,9 +16,14 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20260814)
+@pytest.fixture
+def rng(request):
+    """A generator of the test's own, seeded from its node id.
+
+    A test's inputs do not depend on which tests ran before it.
+    """
+    digest = hashlib.sha256(request.node.nodeid.encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
 @pytest.fixture(scope="session")

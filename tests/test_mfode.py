@@ -417,10 +417,18 @@ def test_dop853_tableau_order_conditions():
         assert abs(math.fsum(e)) <= 1e-14
 
 
-def test_stack_member_matches_its_solo_run(balanced_service, rng):
+POLICY_SPECS = {
+    "jsq": dict(kind="jsq", lam=0.9, d=2),
+    "pullpush": dict(kind="pullpush", lam=0.5, r=1.0),
+    "batchjsq": dict(kind="batchjsq", lam=0.3, d=3, K=2),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_SPECS))
+def test_stack_member_matches_its_solo_run(policy, balanced_service, rng):
     # a member's steps are its own: far-away partners and the stack size
     # leave its bytes unchanged
-    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=6, d=2)
+    model = cf.PolicyModel(service=balanced_service, B=6, **POLICY_SPECS[policy])
     empty, full = np.zeros((6, 2)), np.ones((6, 2))
     solo = cf.integrate(model, empty, 20.0, samples=10)
     pair = cf.integrate(model, np.stack([empty, full]), 20.0, samples=10)
@@ -430,6 +438,39 @@ def test_stack_member_matches_its_solo_run(balanced_service, rng):
     assert solo.states.tobytes() == trio.states[:, 2].tobytes()
     assert pair.states[:, 1].tobytes() == trio.states[:, 0].tobytes()
     assert pair.stats.accepted_steps > solo.stats.accepted_steps
+
+
+def test_one_float_state_matches_its_stack():
+    # with B = n = 1 a stage sum of one start has a single entry, and it
+    # must still be added up as in a stack
+    exp = cf.CoxianDistribution((1.0,), (0.0,))
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=exp, B=1, d=2)
+    starts = np.array([[[0.0]], [[1.0]], [[0.3]]])
+    stack = cf.integrate(model, starts, 5.0, samples=5).states
+    for k, start in enumerate(starts):
+        solo = cf.integrate(model, start, 5.0, samples=5).states
+        assert solo.tobytes() == stack[:, k].tobytes()
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_SPECS))
+def test_drift_of_stack_member_matches_its_solo_drift(policy):
+    service = cf.random_coxian_decreasing(np.random.default_rng(2), max_phases=3)
+    model = cf.PolicyModel(service=service, B=9, **POLICY_SPECS[policy])
+    rng = np.random.default_rng(8)
+    states = np.stack([cf.random_state(9, service.n, rng).h for _ in range(50)])
+    solo = [drift(model, h).tobytes() for h in states]
+    for M in (1, 2, 3, 16, 50):
+        stack = drift(model, states[:M])
+        assert [f.tobytes() for f in stack] == solo[:M], M
+    # every other state of a wider array, in Fortran order, and as lists
+    wide = np.zeros((100, 9, service.n + 2))
+    wide[::2, :, 1:-1] = states
+    view = wide[::2, :, 1:-1]
+    assert not view.flags.c_contiguous
+    contiguous = drift(model, states).tobytes()
+    assert drift(model, view).tobytes() == contiguous
+    assert drift(model, np.asfortranarray(states)).tobytes() == contiguous
+    assert drift(model, states.tolist()).tobytes() == contiguous
 
 
 def test_integration_from_fixed_point_takes_few_steps(balanced_service):
@@ -589,6 +630,19 @@ def test_monotonicity_report_requires_initial_order(balanced_service, rng):
     hi = cf.zero_state(6, 2)
     with pytest.raises(ValueError, match="ordered"):
         cf.monotonicity_report(model, lo, hi, T=1.0)
+
+
+@pytest.mark.parametrize("report", ["monotonicity", "attraction", "lyapunov"])
+def test_reports_reject_an_empty_stack(report, balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
+    none = np.zeros((0, 5, 2))
+    calls = {
+        "monotonicity": lambda: cf.monotonicity_report(model, none, none, T=1.0),
+        "attraction": lambda: cf.attraction_report(model, none, T=1.0),
+        "lyapunov": lambda: cf.lyapunov_report(model, none, T=1.0),
+    }
+    with pytest.raises(ValueError, match="need at least one (pair|start)"):
+        calls[report]()
 
 
 def test_attraction_report(balanced_service, rng):
