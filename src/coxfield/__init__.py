@@ -66,10 +66,6 @@ from .mfode import (
     StructureCheck,
     Trajectory,
     attraction_report,
-    batch_overflow,
-    batch_overflow_prime,
-    batch_overflow_second,
-    batch_overflow_slope,
     drift,
     fixed_point,
     fixed_point_structure_residual,

@@ -126,9 +126,9 @@ class PolicyModel:
     (needs K <= d); other fields are ignored.  ``service`` must have unit
     mean and nonincreasing completion rates; both are structural
     requirements of the ODE family and violations raise.  Instability
-    (lam >= 1, or lam*K >= 1 for batches) only warns: with a finite buffer
-    the dynamics stay well defined.  ``B=None`` requests automatic buffer
-    growth in fixed_point.
+    (``load`` = lam K >= 1, with K = 1 unless batched) only warns: with a
+    finite buffer the dynamics stay well defined.  ``B=None`` requests
+    automatic buffer growth in fixed_point.
     """
 
     kind: str
@@ -156,27 +156,22 @@ class PolicyModel:
                 f"(margin {check.margin!r})"
             )
 
-        if self.kind == "jsq":
-            if self.d is None or int(self.d) != self.d or self.d < 1:
-                raise ValueError(f"jsq needs integer d >= 1, got {self.d!r}")
-            if self.lam >= 1:
-                warnings.warn(f"jsq with lam={self.lam} is unstable", stacklevel=2)
-        elif self.kind == "pullpush":
+        if self.kind == "pullpush":
             if self.r is None or not (math.isfinite(self.r) and self.r >= 0):
                 raise ValueError(
                     f"pullpush needs a finite probe rate r >= 0, got {self.r!r}"
                 )
-            if self.lam >= 1:
-                warnings.warn(f"pullpush with lam={self.lam} is unstable", stacklevel=2)
         else:
             if self.d is None or int(self.d) != self.d or self.d < 1:
-                raise ValueError(f"batchjsq needs integer d >= 1, got {self.d!r}")
-            if self.K is None or int(self.K) != self.K or not 1 <= self.K <= self.d:
+                raise ValueError(f"{self.kind} needs integer d >= 1, got {self.d!r}")
+            if self.kind == "batchjsq" and (
+                self.K is None or int(self.K) != self.K or not 1 <= self.K <= self.d
+            ):
                 raise ValueError(f"batchjsq needs 1 <= K <= d, got K={self.K!r}")
-            if self.lam * self.K >= 1:
-                warnings.warn(
-                    f"batchjsq with lam*K={self.lam * self.K} is unstable", stacklevel=2
-                )
+        if self.load >= 1:
+            warnings.warn(
+                f"{self.kind} with load {self.load} is unstable", stacklevel=2
+            )
 
     @property
     def n(self) -> int:
@@ -277,18 +272,6 @@ def model_from_dict(data: dict) -> PolicyModel:
 # overflow polynomial calculus for batch sampling
 
 
-def _check_unit(x, name):
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-9) or np.any(x > 1 + 1e-9):
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return x
-
-
-def _check_kd(K: int, d: int):
-    if not (1 <= K <= d):
-        raise ValueError(f"need 1 <= K <= d, got K={K}, d={d}")
-
-
 def _overflow_terms(K: int, d: int) -> tuple:
     """(c, a, b) terms of F_{K,d}(x) = sum of c x^a (1-x)^b, s = K-1 down to 0."""
     return tuple(((K - s) * math.comb(d, s), d - s, s) for s in range(K - 1, -1, -1))
@@ -310,7 +293,7 @@ def _poly(x, terms):
     return acc
 
 
-def _gl_terms(K: int, d: int, scale: float = 1.0) -> tuple:
+def _gl_terms(K: int, d: int, scale: float) -> tuple:
     """Gauss-Legendre rule for the mean of F'_{K,d} on a segment, times scale.
 
     One (t, terms) pair per node t on [0, 1], its weight and ``scale``
@@ -332,45 +315,6 @@ def _slope(x1, gap, rule):
         term = _poly(x1 + t * gap, terms)
         acc = term if acc is None else acc + term
     return acc
-
-
-def batch_overflow(x, K: int, d: int):
-    """Expected jobs of a K-batch landing on servers with tail value x.
-
-    Sum over s < K of (K - s) C(d, s) x^(d-s) (1-x)^s: s is the number of
-    sampled slots below the threshold, which absorb jobs first.
-    """
-    _check_kd(K, d)
-    return _poly(_check_unit(x, "x"), _overflow_terms(K, d))
-
-
-def batch_overflow_prime(x, K: int, d: int):
-    """Derivative of batch_overflow: sum of d C(d-1,s) x^(d-1-s)(1-x)^s."""
-    _check_kd(K, d)
-    return _poly(_check_unit(x, "x"), _prime_terms(K, d))
-
-
-def batch_overflow_second(x, K: int, d: int):
-    """Second derivative: d(d-1) C(d-2,K-1) x^(d-K-1)(1-x)^(K-1); 0 if K=d."""
-    _check_kd(K, d)
-    x = _check_unit(x, "x")
-    if K == d:
-        return np.zeros_like(x) if x.ndim else 0.0
-    return d * (d - 1) * math.comb(d - 2, K - 1) * x ** (d - K - 1) * (1 - x) ** (K - 1)
-
-
-def batch_overflow_slope(x1, x2, K: int, d: int):
-    """Divided difference of batch_overflow between x1 and x2.
-
-    Evaluated as the Gauss-Legendre integral of the derivative along the
-    segment, so coincident arguments return the derivative itself and no
-    accuracy is lost when x1 and x2 are close.  Bounded above by the
-    derivative at 1, which equals d.
-    """
-    _check_kd(K, d)
-    x1 = _check_unit(x1, "x1")
-    x2 = _check_unit(x2, "x2")
-    return _slope(x1, x2 - x1, _gl_terms(K, d))
 
 
 # ---------------------------------------------------------------------------
@@ -1075,17 +1019,21 @@ def attraction_report(
 ) -> AttractionReport:
     """Integrate many starts to time T and measure convergence to pi.
 
-    ``starts`` has shape (M, B, n) and is integrated as one stack.
-    Reports per-start sup distances to the solver fixed point and the
-    largest pairwise endpoint distance (small values evidence a unique
-    attractor).
+    ``starts`` has shape (M, B, n) and is integrated as one stack (in
+    chunks of at most STACK_FLOATS trajectory floats).  Reports per-start
+    sup distances to the solver fixed point and the largest pairwise
+    endpoint distance (small values evidence a unique attractor).
     """
     starts, fp = _starts_and_fixed_point(model, starts)
-    traj = integrate(model, starts, T, samples=1)
-    ends = traj.final
-    dists = np.max(np.abs(ends - fp.pi.h), axis=(-2, -1))
+    dists, tops, bottoms = [], [], []
+    for part in _chunks(len(starts), 2 * starts[0].size):
+        ends = integrate(model, starts[part], T, samples=1).final
+        dists.append(np.max(np.abs(ends - fp.pi.h), axis=(-2, -1)))
+        tops.append(ends.max(axis=0))
+        bottoms.append(ends.min(axis=0))
+    dists = np.concatenate(dists)
     # the largest |x_i - x_j| over pairs is max - min, also after rounding
-    pairwise = np.ptp(ends, axis=0)
+    pairwise = np.max(tops, axis=0) - np.min(bottoms, axis=0)
     return AttractionReport(
         distances=dists,
         max_distance=float(dists.max()),

@@ -7,18 +7,25 @@ rate, then a categorical draw over arrival / probe / per-phase service
 classes.  Per-phase member lists with swap-remove give O(1) selection of
 the affected server.  Tail fractions are estimated from per-cell dwell
 times: whenever a server changes cell, its elapsed time since the last
-change (clipped to the measurement window) is charged to the old
-(length, phase) cell, and the double tail sum of the dwell matrix is the
-time-averaged state.  Averages of valid states over a convex set remain
-valid states, so the estimate satisfies the state-space inequalities up
-to float summation error.
+change is charged to the old (length, phase) cell, and the double tail
+sum of the dwell matrix is the time-averaged state.  Nothing is clipped
+to the measurement window: the first event at or past warmup drops the
+charges made so far and restarts every server's clock at warmup.
+Averages of valid states over a convex set remain valid states, so the
+estimate satisfies the state-space inequalities up to float summation
+error.
 
 The event loop is one flat pure-Python loop: the swap-remove and the
-dwell charge are written inline, and the three arrival policies end in
-one block that places a job on each chosen server.  Uniforms come from
-the bound ``next`` of a C-level chain over ``Generator.random`` blocks
-that double from 1024 to 65536 floats; the stream is the same whatever
-the block sizes, so a replication's bytes depend on its seed alone.
+dwell charge are written inline.  Arrivals follow the drift's rule,
+``model.arrival`` = (K, d, pull): the K shortest of d sampled queues get
+one job each, so jsq is K = 1 and a pullpush local arrival is K = d = 1,
+and a pull moves one waiting job to the idle server that probed.  All of
+them end in one block that places a job on each chosen server.
+
+Uniforms come from the bound ``next`` of a C-level chain over
+``Generator.random`` blocks that double from 1024 to 65536 floats; the
+stream is the same whatever the block sizes, so a replication's bytes
+depend on its seed alone.
 
 Replications are independent chains with seeds seed, seed+1, ...; the
 pooled estimate and 95% half-widths come from the replication variance.
@@ -154,8 +161,8 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
     cont = [0.0] + [float(p) for p in model.service.continuations]
     mu1 = mu[1]
     lam_total = model.lam * N
-    kind = model.kind
-    pullpush = kind == "pullpush"
+    pullpush = model.kind == "pullpush"
+    batch = model.kind == "batchjsq"
     K, d, probe_rate = model.arrival
     choices, rest = range(d), range(d - 1)
 
@@ -170,11 +177,14 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
     drops = 0
     jobs = 0
     t = 0.0
+    stop = warmup
     events = 0
 
     # Moving server i between member lists is a swap-remove: the last entry
     # takes i's slot.  Before a server changes cell, the time since its last
-    # change, clipped to the window, is charged to its (length, phase) cell.
+    # change is charged to its (length, phase) cell.  The first event at or
+    # past warmup restarts every clock at warmup and drops the charges made
+    # before it; the next stop is the horizon.
     while True:
         if pullpush:
             arr_total = lam_total + probe_rate * len(idle)
@@ -182,16 +192,47 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
             arr_total = lam_total
         total = arr_total + svc_total
         t += -log(1.0 - u()) / total
-        if t >= horizon:
-            t = horizon
-            break
+        if t >= stop:
+            if stop == warmup:
+                occ = [[0.0] * n for _ in range(B)]
+                last = [warmup] * N
+                stop = horizon
+            if t >= horizon:
+                t = horizon
+                break
         events += 1
         if not events & 0xFFFF:
             # kill float drift in the incrementally maintained total
             svc_total = sum(len(members[j]) * mu[j] for j in range(1, n + 1))
         x = u() * total
         if x < arr_total:
-            if kind == "jsq":
+            if x >= lam_total:
+                # an idle server pulls one waiting job from a random peer
+                # and then takes it like an arriving job
+                if N == 1:
+                    continue
+                prober = idle[int(u() * len(idle))]
+                s = int(u() * (N - 1))
+                if s >= prober:
+                    s += 1
+                li = qlen[s]
+                if li < 2:
+                    continue
+                occ[li - 1][phase[s] - 1] += t - last[s]
+                last[s] = t
+                qlen[s] = li - 1
+                targets = (prober,)
+            elif batch:
+                # rank the d sampled slots by length at arrival, random
+                # tiebreak; the K best get one job each (repeats allowed)
+                jobs += K
+                slots = [(qlen[s], u(), s) for s in (int(u() * N) for _ in choices)]
+                slots.sort()
+                targets = [s for _, _, s in slots[:K]]
+            else:
+                # the shortest of d sampled queues, random tiebreak; a
+                # pullpush local arrival is the case d = 1
+                jobs += 1
                 best = int(u() * N)
                 blen = qlen[best]
                 ties = 1
@@ -205,54 +246,13 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
                         if u() * ties < 1.0:
                             best = s
                 targets = (best,)
-            elif kind == "batchjsq":
-                # rank the d sampled slots by length at arrival, random
-                # tiebreak; the K best get one job each (repeats allowed)
-                slots = [(qlen[s], u(), s) for s in (int(u() * N) for _ in choices)]
-                slots.sort()
-                targets = [s for _, _, s in slots[:K]]
-            elif x < lam_total:
-                targets = (int(u() * N),)
-            else:
-                # an idle server pulls one waiting job from a random peer
-                if N > 1:
-                    prober = idle[int(u() * len(idle))]
-                    target = int(u() * (N - 1))
-                    if target >= prober:
-                        target += 1
-                    li = qlen[target]
-                    if li >= 2:
-                        start = last[target]
-                        if start < warmup:
-                            start = warmup
-                        if t > start:
-                            occ[li - 1][phase[target] - 1] += t - start
-                        last[target] = t
-                        qlen[target] = li - 1
-                        last[prober] = t
-                        k = pos[prober]
-                        moved = idle.pop()
-                        if moved != prober:
-                            idle[k] = moved
-                            pos[moved] = k
-                        pos[prober] = len(busy1)
-                        busy1.append(prober)
-                        phase[prober] = 1
-                        qlen[prober] = 1
-                        svc_total += mu1
-                continue
             for i in targets:
-                jobs += 1
                 li = qlen[i]
                 if li >= B:
                     drops += 1
                     continue
                 if li:
-                    start = last[i]
-                    if start < warmup:
-                        start = warmup
-                    if t > start:
-                        occ[li - 1][phase[i] - 1] += t - start
+                    occ[li - 1][phase[i] - 1] += t - last[i]
                 else:
                     k = pos[i]
                     moved = idle.pop()
@@ -277,11 +277,7 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
             bucket = members[j]
             i = bucket[int(u() * len(bucket)) % len(bucket)]
             li = qlen[i]
-            start = last[i]
-            if start < warmup:
-                start = warmup
-            if t > start:
-                occ[li - 1][j - 1] += t - start
+            occ[li - 1][j - 1] += t - last[i]
             last[i] = t
             if u() < cont[j]:
                 dest = j + 1
@@ -310,11 +306,7 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
     for i in range(N):
         li = qlen[i]
         if li:
-            start = last[i]
-            if start < warmup:
-                start = warmup
-            if t > start:
-                occ[li - 1][phase[i] - 1] += t - start
+            occ[li - 1][phase[i] - 1] += t - last[i]
     return np.asarray(occ), drops, jobs, events
 
 

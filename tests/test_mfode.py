@@ -15,7 +15,9 @@ import pytest
 import coxfield as cf
 from coxfield.dist import SchemaError
 from coxfield import mfode
-from coxfield.mfode import LYAPUNOV_SAMPLES, drift
+from coxfield.mfode import (
+    LYAPUNOV_SAMPLES, _gl_terms, _overflow_terms, _poly, _prime_terms, _slope, drift,
+)
 from coxfield.order import _as_h, _margins
 
 from test_acceptance import mcox1_tail, rk4_reference
@@ -149,7 +151,7 @@ def test_first_phase_drift_sums_telescope(rng, balanced_service):
         elif model.kind == "pullpush":
             want = model.lam * (1 - hB)
         else:
-            want = model.lam * (model.K - cf.batch_overflow(hB, model.K, model.d))
+            want = model.lam * (model.K - naive_phi(hB, model.K, model.d))
         assert f[:, 0].sum() == pytest.approx(want, abs=1e-13)
 
 
@@ -174,43 +176,33 @@ def test_drift_vanishes_on_empty_and_conserves_mass(balanced_service):
 
 
 def test_batch_overflow_calculus(rng):
+    # the kernels the drift runs: F and F' by their terms, and the divided
+    # difference of F by the Gauss-Legendre rule (lam = 1)
     for d in (1, 2, 3, 5, 8):
         for K in range(1, d + 1):
-            assert cf.batch_overflow(1.0, K, d) == pytest.approx(K)
-            assert cf.batch_overflow_prime(1.0, K, d) == pytest.approx(d)
+            phi, prime = _overflow_terms(K, d), _prime_terms(K, d)
+            rule = _gl_terms(K, d, 1.0)
+            assert _poly(1.0, phi) == pytest.approx(K)
+            assert _poly(1.0, prime) == pytest.approx(d)
             xs = rng.uniform(0, 1, size=7)
             if K == 1:
-                assert np.array_equal(cf.batch_overflow(xs, 1, d), xs**d)
+                assert np.array_equal(_poly(xs, phi), xs**d)
             if K == d:
-                assert cf.batch_overflow(xs, K, d) == pytest.approx(d * xs)
+                assert _poly(xs, phi) == pytest.approx(d * xs)
             # derivative by central differences
             eps = 1e-6
             fd = (
-                cf.batch_overflow(xs * (1 - eps) + eps * 0.5 + eps, K, d)
-                - cf.batch_overflow(xs * (1 - eps) + eps * 0.5 - eps, K, d)
+                _poly(xs * (1 - eps) + eps * 0.5 + eps, phi)
+                - _poly(xs * (1 - eps) + eps * 0.5 - eps, phi)
             ) / (2 * eps)
             mid = xs * (1 - eps) + eps * 0.5
-            assert cf.batch_overflow_prime(mid, K, d) == pytest.approx(fd, abs=1e-6)
+            assert _poly(mid, prime) == pytest.approx(fd, abs=1e-6)
             # slope: exact quadrature equals the naive quotient
             a, b = rng.uniform(0, 1, size=2)
-            assert cf.batch_overflow_slope(a, b, K, d) == pytest.approx(
+            assert _slope(a, b - a, rule) == pytest.approx(
                 naive_slope(a, b, K, d), abs=1e-12
             )
-            assert cf.batch_overflow_slope(a, a, K, d) == pytest.approx(
-                cf.batch_overflow_prime(a, K, d)
-            )
-
-
-def test_batch_overflow_second_derivative():
-    xs = np.linspace(0.05, 0.95, 9)
-    eps = 1e-5
-    for d, K in ((4, 2), (5, 3), (3, 3)):
-        fd = (
-            cf.batch_overflow_prime(xs + eps, K, d)
-            - cf.batch_overflow_prime(xs - eps, K, d)
-        ) / (2 * eps)
-        assert cf.batch_overflow_second(xs, K, d) == pytest.approx(fd, abs=1e-4)
-    assert np.all(cf.batch_overflow_second(xs, 3, 3) == 0.0)
+            assert _slope(a, 0.0, rule) == pytest.approx(_poly(a, prime))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +251,8 @@ def test_model_warns_when_unstable(balanced_service):
         cf.PolicyModel(
             kind="batchjsq", lam=0.6, service=balanced_service, B=4, d=2, K=2
         )
+    with pytest.warns(UserWarning, match="unstable"):
+        cf.PolicyModel(kind="pullpush", lam=1.0, service=balanced_service, B=4, r=1.0)
 
 
 def test_model_dict_round_trip(balanced_service):
@@ -781,15 +775,33 @@ def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
     scales = (0.1, 0.2, 0.05, 0.3, 0.5, 0.0)
     lo = np.stack([s * cf.random_state(5, 2, rng).h for s in scales])
     hi = np.ones_like(lo)
+    starts = np.stack([cf.random_state(5, 2, rng).h for _ in range(50)])
     pair_floats = 2 * 11 * 5 * 2  # both sides, 10 samples + start, B n
+    start_floats = 2 * 5 * 2  # start and end, B n
+    stacks = []
+
+    def integrate(model, h0, *args, **kwargs):
+        stacks.append(math.prod(np.shape(h0)[:-2]))
+        return cf.integrate(model, h0, *args, **kwargs)
+
     runs = []
     for floats in (mfode.STACK_FLOATS, 2 * pair_floats):
         monkeypatch.setattr(mfode, "STACK_FLOATS", floats)
         mono = cf.monotonicity_report(model, lo.reshape(2, 3, 5, 2),
                                       hi.reshape(2, 3, 5, 2), 2.0, samples=10,
                                       tol=-0.28)
-        runs.append((mono, cf.lyapunov_report(model, lo, 2.0)))
-    (mono, lyap), (mono_chunked, lyap_chunked) = runs
+        lyap = cf.lyapunov_report(model, lo, 2.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(mfode, "integrate", integrate)
+            stacks.clear()
+            runs.append((mono, lyap, cf.attraction_report(model, starts, 2.0)))
+    (mono, lyap, attr), (mono_chunked, lyap_chunked, attr_chunked) = runs
+    # the attraction stack of 50 starts runs in chunks of 22, 22 and 6
+    assert len(mfode._chunks(50, start_floats)) == 3
+    assert max(stacks) == 2 * pair_floats // start_floats
+    assert attr.max_distance == attr_chunked.max_distance
+    assert attr.pairwise_max == attr_chunked.pairwise_max > 0
+    assert attr.distances.tobytes() == attr_chunked.distances.tobytes()
     assert len(mfode._chunks(6, pair_floats)) == 3
     assert mono.pair_margins.shape == (2, 3)
     assert not mono.ok and mono.violation_pair == 4

@@ -158,6 +158,28 @@ GOLDEN_REPLICATIONS = {
         dict(N=20, horizon=30.0, warmup=5.0),
         "9588a1c91ce9ee0968e63e772a6cec8640e452e66a08acb2b10882e834f350f3",
     ),
+    # edge windows: a window from t = 0, windows of 1e-3 and 1e-9 past
+    # warmup (at N = 1 and 3), and K = d batches on a two-slot buffer
+    "jsq-warmup0": (
+        dict(kind="jsq", lam=0.7, B=6, d=2),
+        dict(N=40, horizon=60.0, warmup=0.0),
+        "78262d6b403495914b2e7ad8c2707bfeb9361af91c5a33f57db957caa7cc9066",
+    ),
+    "pullpush-n1-short": (
+        dict(kind="pullpush", lam=0.5, B=4, r=2.0),
+        dict(N=1, horizon=10.0 + 1e-3, warmup=10.0),
+        "84554d1d340b6168962d461c2bd8fffae16c5af3627edecb8dedc4d3cd50d1c7",
+    ),
+    "pullpush-n3-tiny": (
+        dict(kind="pullpush", lam=0.5, B=4, r=2.0),
+        dict(N=3, horizon=20.0 + 1e-9, warmup=20.0),
+        "b7af0091fea48fd0af3fbf530b2c45533ff19139c7abf81b9ba85bd971153f05",
+    ),
+    "batchjsq-k3-b2": (
+        dict(kind="batchjsq", lam=0.3, B=2, d=3, K=3),
+        dict(N=40, horizon=60.0, warmup=0.0),
+        "a3486764e8dec321e405e4b168cc34187a5ea8806a0d7e36f16089237ae270f4",
+    ),
 }
 
 
