@@ -6,7 +6,8 @@ class), ``order`` (the state space and the comparison order the dynamics
 preserve), ``mfode`` (the transient ODE, its fixed point and the
 monotonicity / attraction / Lyapunov certificates) and ``sim`` (an
 event-driven finite-N chain for cross-validation).  ``coxfield.cli``
-exposes the same operations as a command line tool.
+exposes the same operations as a command line tool and holds the JSON
+document format; importing the package does not import it.
 """
 
 __version__ = "0.1.0"
@@ -16,12 +17,9 @@ from .dist import (
     CoxianDistribution,
     HyperExponential,
     MomentTriple,
-    SchemaError,
     SignedMixture,
     cdf,
     coxian_to_mixture,
-    distribution_from_dict,
-    distribution_to_dict,
     fit_hyperexp2,
     has_decreasing_completion_rates,
     hazard,
@@ -34,7 +32,6 @@ from .dist import (
     random_hyperexp,
     raw_moments,
     remaining_service_times,
-    telescoping_rate_sum,
 )
 from .order import (
     LeqReport,
@@ -43,14 +40,11 @@ from .order import (
     StateSpaceReport,
     from_occupancy,
     full_state,
-    in_state_space,
     leq,
     leq_report,
     level_phase_mass,
     random_state,
-    state_from_dict,
     state_space_report,
-    state_to_dict,
     to_occupancy,
     upper_envelope,
     zero_state,
@@ -73,8 +67,6 @@ from .mfode import (
     lyapunov_rates,
     lyapunov_report,
     lyapunov_values,
-    model_from_dict,
-    model_to_dict,
     monotonicity_report,
     step_bound,
 )

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, and the one reader and writer of the JSON format.
 
 Each subcommand reads JSON inputs, writes its primary output files plus a
 run manifest into --out, and returns 0 on success, 1 when the math
@@ -8,11 +8,16 @@ Primary outputs are deterministic given the same inputs and seed; the
 manifest additionally records wall-clock time, the tool version and, for
 ``fixed-point``, ``integrate`` and ``simulate``, the work counts under
 "stats".
+
+The distribution, model, simulation and state documents are read here
+only, every field through ``_field``; the library modules take Python
+objects and carry no schema code.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -23,65 +28,177 @@ import numpy as np
 
 from . import __version__
 from .dist import (
-    SchemaError,
     MomentTriple,
     cdf,
     coxian_to_mixture,
-    distribution_from_dict,
-    distribution_to_dict,
     fit_hyperexp2,
     has_decreasing_completion_rates,
     hyperexp_to_coxian,
     normalized_moments,
     raw_moments,
     CoxianDistribution,
+    HyperExponential,
 )
 from .mfode import (
+    POLICY_FIELDS,
     FixedPointError,
     IntegrationError,
+    PolicyModel,
     attraction_report,
     fixed_point,
     fixed_point_structure_residual,
     integrate,
     lyapunov_report,
-    model_from_dict,
-    model_to_dict,
     monotonicity_report,
-    _number_field,
 )
 from .order import (
+    MeanFieldState,
     _as_h,
     full_state,
     level_phase_mass,
     leq,
     random_state,
-    state_from_dict,
-    state_to_dict,
     upper_envelope,
     zero_state,
 )
 from .sim import SimConfig, compare_to_fixed_point, replicate
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+class SchemaError(ValueError):
+    """Malformed input, on which ``main`` exits 2.
+
+    A wrong JSON type or shape, a missing required field, an unknown
+    distribution ``kind`` or ``policy``, or an integer above its cap.
+    Fields a document does not define are ignored, not rejected.  A plain
+    ValueError instead marks well-formed input rejected on mathematical
+    grounds (duplicate rates, infeasible moments, ...), and exits 1.
+    """
+
+
+#: Largest accepted value of each integer field of the model and
+#: simulation schemas.  Larger values are malformed input: a jsq ``d`` of
+#: 1e300 would loop for ever in the drift and an ``N`` of 1e300 cannot be
+#: allocated.  ``B`` allows twice the largest automatic buffer.
+SCHEMA_CAPS = {"B": 1024, "d": 100, "K": 100, "N": 10**6, "replications": 10**4}
+
+
+def _field(data: dict, key: str, where: str, depth=0, integer=False, required=False):
+    """Field ``key`` of a ``where`` document, checked; None when absent.
+
+    ``depth`` 0 reads a number, 1 a list of numbers and 2 a list of
+    equal-length rows of numbers.  A number is an int or a float, never a
+    bool or a string; an integer field holds an integer value (2.0 counts)
+    no larger than its SCHEMA_CAPS cap.  null counts as missing, which is
+    malformed when ``required``.
+    """
+    value = data.get(key)
+    if value is None:
+        if required:
+            raise SchemaError(f"{where} is missing required field {key!r}")
+        return None
+    what = f"{where} field {key!r}"
+
+    def read(item, level):
+        if level:
+            if not isinstance(item, list):
+                raise SchemaError(f"{what}: expected a list, got {item!r}")
+            items = [read(v, level - 1) for v in item]
+            if level == 2 and len({len(row) for row in items}) > 1:
+                raise SchemaError(f"{what} has rows of different lengths")
+            return items
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise SchemaError(f"{what}: expected a number, got {item!r}")
+        if not integer:
+            return float(item)
+        if isinstance(item, float) and not item.is_integer():
+            raise SchemaError(f"{what} must be an integer, got {item!r}")
+        cap = SCHEMA_CAPS.get(key)
+        if cap is not None and item > cap:
+            raise SchemaError(f"{what} must be at most {cap}, got {item!r}")
+        return int(item)
+
+    return read(value, depth)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def distribution_to_dict(dist) -> dict:
+    """Plain-dict form: {"kind", "rates", "continuations"|"weights"}."""
+    if isinstance(dist, CoxianDistribution):
+        return {
+            "kind": "coxian",
+            "rates": list(dist.rates),
+            "continuations": list(dist.continuations),
+        }
+    return {"kind": "hyperexp", "rates": list(dist.rates), "weights": list(dist.weights)}
+
+
+def distribution_from_dict(data):
+    """Inverse of :func:`distribution_to_dict`, with schema validation."""
+    kind = _object(data, "distribution").get("kind")
+    if kind == "coxian":
+        rates, conts = (
+            _field(data, key, "coxian distribution", depth=1, required=True)
+            for key in ("rates", "continuations")
+        )
+        return CoxianDistribution(rates, conts)
+    if kind == "hyperexp":
+        weights, rates = (
+            _field(data, key, "hyperexp distribution", depth=1, required=True)
+            for key in ("weights", "rates")
+        )
+        return HyperExponential(weights, rates)
+    raise SchemaError(f"distribution kind must be 'coxian' or 'hyperexp', got {kind!r}")
+
+
+def model_to_dict(model: PolicyModel) -> dict:
+    out = {
+        "policy": model.kind,
+        "lambda": model.lam,
+        "B": model.B,
+        "service": distribution_to_dict(model.service),
+    }
+    return out | {key: getattr(model, key) for key in POLICY_FIELDS[model.kind]}
+
+
+def model_from_dict(data) -> PolicyModel:
+    """Build a model from its JSON dict; hyperexp services are converted."""
+    policy = _object(data, "model").get("policy")
+    if not isinstance(policy, str) or policy not in POLICY_FIELDS:
+        raise SchemaError(f"model policy must be one of {sorted(POLICY_FIELDS)}, "
+                          f"got {policy!r}")
+    lam = _field(data, "lambda", "model", required=True)
+    service = distribution_from_dict(_object(data.get("service"), "model service"))
+    if not isinstance(service, CoxianDistribution):
+        service = hyperexp_to_coxian(service)
+    B, d, K = (_field(data, key, "model", integer=True) for key in "BdK")
+    r = _field(data, "r", "model")
+    return PolicyModel(kind=policy, lam=lam, service=service, B=B, d=d, K=K, r=r)
+
+
+def state_to_dict(state) -> dict:
+    """Plain-dict form {"B", "n", "h"} with h as a nested list."""
+    h = _as_h(state)
+    return {"B": h.shape[0], "n": h.shape[1], "h": h.tolist()}
+
+
+def state_from_dict(data) -> MeanFieldState:
+    """Inverse of :func:`state_to_dict`, with schema validation."""
+    data = _object(data, "state")
+    B, n = (_field(data, key, "state", integer=True, required=True) for key in "Bn")
+    h = np.array(_field(data, "h", "state", depth=2, required=True), dtype=float)
+    if h.shape != (B, n):
+        raise SchemaError(f"state array has shape {h.shape}, expected ({B}, {n})")
+    return MeanFieldState(h)
 
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
         fh.write("\n")
 
 
@@ -103,7 +220,7 @@ def _write_manifest(args, inputs, outputs, started, error=None):
         "seed": args.seed,
         "tol": args.tol,
         "out_dir": os.path.abspath(args.out),
-        "inputs": _jsonable(inputs),
+        "inputs": inputs,
         "outputs": sorted(outputs),
         "wall_clock_s": round(time.monotonic() - started, 6),
     }
@@ -141,7 +258,7 @@ def _cmd_convert(args):
         grid = np.linspace(0.1, 5.0, 50) * m1
         gap = float(np.max(np.abs(cdf(dist, grid) - cdf(cox, grid))))
         out["cdf_max_gap"] = gap
-        if gap > (args.tol or 1e-10):
+        if gap > args.tolerance:
             path = os.path.join(args.out, "convert.json")
             _write_json(path, out)
             print(f"conversion CDF gap {gap:.3e} exceeds tolerance", file=sys.stderr)
@@ -153,7 +270,7 @@ def _cmd_convert(args):
 
 def _cmd_fit(args):
     target = MomentTriple(args.m1, args.n2, args.n3)
-    hyper = fit_hyperexp2(target, region_tol=args.tol or 0.0)
+    hyper = fit_hyperexp2(target, region_tol=args.tolerance)
     achieved = normalized_moments(hyper)
     out = {
         "target": {"m1": target.m1, "n2": target.n2, "n3": target.n3},
@@ -168,7 +285,7 @@ def _cmd_fit(args):
 
 def _cmd_fixed_point(args):
     model = model_from_dict(_load_json(args.model))
-    result = fixed_point(model, residual_tol=args.tol or 1e-12)
+    result = fixed_point(model, residual_tol=args.tolerance)
     args.stats = asdict(result.stats)
     structure = fixed_point_structure_residual(result.pi, model.service)
     out = {
@@ -224,23 +341,18 @@ def _cmd_integrate(args):
 
 
 def _cmd_simulate(args):
-    data = _load_json(args.config)
-    if not isinstance(data, dict) or "model" not in data:
-        raise SchemaError("simulation config needs a 'model' object")
-    for key in ("N", "horizon"):
-        if data.get(key) is None:
-            raise SchemaError(f"simulation config is missing {key!r}")
-    model = model_from_dict(data["model"])
+    data = _object(_load_json(args.config), "simulation config")
+    model = model_from_dict(data.get("model"))
 
-    def number(key, integer=False):
-        return _number_field(data, key, integer, where="simulation")
+    def number(key, integer=False, required=False):
+        return _field(data, key, "simulation", integer=integer, required=required)
 
     seed = number("seed", integer=True)
     replications = number("replications", integer=True)
     config = SimConfig(
         model=model,
-        N=number("N", integer=True),
-        horizon=number("horizon"),
+        N=number("N", integer=True, required=True),
+        horizon=number("horizon", required=True),
         seed=args.seed if seed is None else seed,
         warmup=number("warmup"),
         replications=1 if replications is None else replications,
@@ -300,8 +412,7 @@ def _random_starts(count, model, rng):
 def _suite_monotone(args, model, rng):
     pairs = [_ordered_pair(rng, model.B, model.n, k % 3) for k in range(args.count)]
     lo, hi = (np.stack([_as_h(p[side]) for p in pairs]) for side in (0, 1))
-    tol = args.tol or 1e-8
-    report = monotonicity_report(model, lo, hi, args.T, samples=20, tol=tol)
+    report = monotonicity_report(model, lo, hi, args.T, samples=20, tol=args.tolerance)
     cases = [
         {
             "ok": bool(np.isnan(t)),
@@ -315,7 +426,7 @@ def _suite_monotone(args, model, rng):
 
 def _suite_attract(args, model, rng):
     starts = _random_starts(args.count, model, rng)
-    report = attraction_report(model, starts, args.T, tol=args.tol or 1e-6)
+    report = attraction_report(model, starts, args.T, tol=args.tolerance)
     return {
         "distances": report.distances,
         "max_distance": report.max_distance,
@@ -326,7 +437,7 @@ def _suite_attract(args, model, rng):
 
 def _suite_lyapunov(args, model, rng):
     starts = _random_starts(args.count, model, rng)
-    report = lyapunov_report(model, starts, args.T, tol=args.tol or 1e-9)
+    report = lyapunov_report(model, starts, args.T, tol=args.tolerance)
     cases = [
         {"max_rate": rate, "max_fd_gap": gap, "ok": ok}
         for rate, gap, ok in zip(report.max_rates, report.max_fd_gaps, report.passed)
@@ -336,7 +447,7 @@ def _suite_lyapunov(args, model, rng):
 
 def _suite_order_oracle(args, rng):
     B, n = args.B, args.phases
-    tol = args.tol or 1e-9
+    tol = args.tolerance
     agree = 0
     cases = []
     for k in range(args.count):
@@ -451,6 +562,9 @@ _COMMANDS = {
 
 _SUITE_COUNTS = {"monotone": 25, "attract": 10, "lyapunov": 5, "order-oracle": 200}
 _SUITE_HORIZONS = {"monotone": 50.0, "attract": 1000.0, "lyapunov": 20.0}
+#: the tolerance each command or suite uses when --tol is not given
+_TOLERANCES = {"convert": 1e-10, "fit": 0.0, "fixed-point": 1e-12, "monotone": 1e-8,
+               "attract": 1e-6, "lyapunov": 1e-9, "order-oracle": 1e-9}
 
 
 def main(argv=None):
@@ -466,6 +580,10 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
     try:
+        if args.tol is not None and not 0 <= args.tol < math.inf:
+            raise SchemaError(f"--tol must be finite and nonnegative, got {args.tol}")
+        key = args.suite if args.command == "verify" else args.command
+        args.tolerance = _TOLERANCES.get(key) if args.tol is None else args.tol
         code, inputs, outputs = _COMMANDS[args.command](args)
     except SchemaError as exc:
         print(f"coxfield {args.command}: {exc}", file=sys.stderr)

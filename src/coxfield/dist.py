@@ -17,6 +17,9 @@ times by matrix exponentials of S times each gap (scipy's scaling and
 squaring, Al-Mohy & Higham 2009), so there is no step size to choose and
 no truncation error to bound; survival is the total mass and density the
 completion flow a(t) nu.
+
+Distributions are built from Python values; their JSON form is read and
+written by ``coxfield.cli``.
 """
 
 import math
@@ -465,37 +468,6 @@ def fit_hyperexp2(
     return HyperExponential((w1, 1.0 - w1), (1.0 / x1, 1.0 / x2))
 
 
-def telescoping_rate_sum(k: int, l: int, rates: Sequence[float]) -> float:
-    """Telescoping product-ratio sum over rates; equals -1 identically.
-
-    For 1-based indices l > k >= 1 and rates with mu_j != mu_k for j > k,
-
-        sum_{i=k+1}^{l} prod_{v=k}^{i-1} (mu_v - mu_l)
-                        / prod_{j=k+1}^{i} (mu_j - mu_k)
-
-    collapses to -1 for every choice of rates.  Cross-checks the
-    partial-fraction algebra behind the mixture conversion.
-    """
-    if not 1 <= k < l <= len(rates):
-        raise ValueError(f"need 1 <= k < l <= len(rates), got k={k}, l={l}")
-    mu = [float(r) for r in rates]
-    mu_k = mu[k - 1]
-    mu_l = mu[l - 1]
-    for j in range(k + 1, l + 1):
-        if mu[j - 1] == mu_k:
-            raise ValueError(
-                f"rates[{j - 1}] equals rates[{k - 1}]; they must differ"
-            )
-    total = 0.0
-    numer = 1.0
-    denom = 1.0
-    for i in range(k + 1, l + 1):
-        numer *= mu[i - 2] - mu_l
-        denom *= mu[i - 1] - mu_k
-        total += numer / denom
-    return total
-
-
 # ---------------------------------------------------------------------------
 # survival / density / hazard by exact phase-mass propagation
 # ---------------------------------------------------------------------------
@@ -638,55 +610,3 @@ def random_coxian_decreasing(
             cox = normalize_to_unit_mean(cox)
         if max(cox.rates) <= max_unit_rate:
             return cox
-
-
-# ---------------------------------------------------------------------------
-# JSON-dict round trip
-# ---------------------------------------------------------------------------
-
-
-def distribution_to_dict(dist: Distribution) -> dict:
-    """Plain-dict form: {"kind", "rates", "continuations"|"weights"}."""
-    if isinstance(dist, CoxianDistribution):
-        return {
-            "kind": "coxian",
-            "rates": list(dist.rates),
-            "continuations": list(dist.continuations),
-        }
-    if isinstance(dist, HyperExponential):
-        return {
-            "kind": "hyperexp",
-            "rates": list(dist.rates),
-            "weights": list(dist.weights),
-        }
-    raise TypeError(f"unsupported distribution type {type(dist).__name__}")
-
-
-class SchemaError(ValueError):
-    """Structurally invalid input: wrong shape, missing or unknown fields.
-
-    Distinct from a plain ValueError, which marks well-formed input
-    rejected on mathematical grounds (duplicate rates, infeasible
-    moments, ...).  The command-line layer maps the two to different
-    exit codes.
-    """
-
-
-def distribution_from_dict(data: dict) -> Distribution:
-    """Inverse of :func:`distribution_to_dict`, with schema validation."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise SchemaError("distribution object needs a 'kind' field")
-    kind = data["kind"]
-    if kind == "coxian":
-        missing = {"rates", "continuations"} - data.keys()
-        if missing:
-            raise SchemaError(f"coxian distribution missing fields {missing}")
-        return CoxianDistribution(
-            tuple(data["rates"]), tuple(data["continuations"])
-        )
-    if kind == "hyperexp":
-        missing = {"rates", "weights"} - data.keys()
-        if missing:
-            raise SchemaError(f"hyperexp distribution missing fields {missing}")
-        return HyperExponential(tuple(data["weights"]), tuple(data["rates"]))
-    raise SchemaError(f"unknown distribution kind {kind!r}")

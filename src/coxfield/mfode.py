@@ -48,8 +48,12 @@ rejected with a smaller tau rather than clipped.
 
 The certificates (monotonicity, attraction and Lyapunov reports) are
 computed here only: each takes a stack of starts, integrates it as a
-stack (in chunks of at most STACK_FLOATS trajectory floats) and reports
-per start, and each ``verify`` suite makes one call.
+stack (in chunks of at most STACK_FLOATS floats, counting the samples and
+the integrator's working states) and reports per start, and each
+``verify`` suite makes one call.
+
+Models are built from Python values; their JSON form is read and written
+by ``coxfield.cli``.
 """
 
 import math
@@ -64,11 +68,7 @@ from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .dist import (
     CoxianDistribution,
-    SchemaError,
-    distribution_from_dict,
-    distribution_to_dict,
     has_decreasing_completion_rates,
-    hyperexp_to_coxian,
     moments,
     remaining_service_times,
 )
@@ -204,68 +204,6 @@ class PolicyModel:
     def _terms(self) -> "_DriftTerms":
         """Drift constants, built on first use and kept with the model."""
         return _DriftTerms(self)
-
-
-def model_to_dict(model: PolicyModel) -> dict:
-    out = {
-        "policy": model.kind,
-        "lambda": model.lam,
-        "B": model.B,
-        "service": distribution_to_dict(model.service),
-    }
-    return out | {key: getattr(model, key) for key in POLICY_FIELDS[model.kind]}
-
-
-#: Largest accepted value of each integer field of the model and
-#: simulation schemas.  Larger values are malformed input: a jsq ``d`` of
-#: 1e300 would loop for ever in the drift and an ``N`` of 1e300 cannot be
-#: allocated.  ``B`` allows twice the largest automatic buffer.
-SCHEMA_CAPS = {"B": 1024, "d": 100, "K": 100, "N": 10**6, "replications": 10**4}
-
-
-def _number_field(data: dict, key: str, integer: bool = False, where: str = "model"):
-    """A JSON number (None when absent); integer fields come back as int.
-
-    Integer fields named in SCHEMA_CAPS must not exceed their cap.
-    """
-    value = data.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where} field {key!r} must be a number, got {value!r}")
-    if not integer:
-        return float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise SchemaError(f"{where} field {key!r} must be an integer, got {value!r}")
-    cap = SCHEMA_CAPS.get(key)
-    if cap is not None and value > cap:
-        raise SchemaError(f"{where} field {key!r} must be at most {cap}, got {value!r}")
-    return int(value)
-
-
-def model_from_dict(data: dict) -> PolicyModel:
-    """Build a model from its JSON dict; hyperexp services are converted.
-
-    Integer-valued ``B``, ``d`` and ``K`` (such as 2.0) are taken as ints;
-    other non-integers and non-numbers raise SchemaError.
-    """
-    if not isinstance(data, dict):
-        raise SchemaError(f"model must be a JSON object, got {type(data).__name__}")
-    for key in ("policy", "lambda", "service"):
-        if data.get(key) is None:
-            raise SchemaError(f"model is missing required key {key!r}")
-    service = distribution_from_dict(data["service"])
-    if not isinstance(service, CoxianDistribution):
-        service = hyperexp_to_coxian(service)
-    return PolicyModel(
-        kind=data["policy"],
-        lam=_number_field(data, "lambda"),
-        service=service,
-        B=_number_field(data, "B", integer=True),
-        d=_number_field(data, "d", integer=True),
-        K=_number_field(data, "K", integer=True),
-        r=_number_field(data, "r"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -840,16 +778,26 @@ def _dots(rows, vec):
     return np.array([np.dot(row, vec) for row in flat]).reshape(rows.shape[:-1])[()]
 
 
-#: floats one stacked trajectory may hold: the reports integrate larger
+#: floats one chunk of a report's stack may hold, its samples and the
+#: integrator's working states together: the reports integrate larger
 #: stacks chunk by chunk (a start's numbers do not depend on its chunk),
 #: so their memory stays bounded however many starts they are given
 STACK_FLOATS = 1 << 21
 
+#: states the DOP853 flow holds per integrated member besides its samples:
+#: the 13-stage trial buffer and the temporaries of a trial
+_WORK_STATES = 17
 
-def _chunks(count: int, floats_per_start: int) -> list:
-    """Consecutive slices of ``count`` starts, each within STACK_FLOATS."""
-    size = max(1, STACK_FLOATS // floats_per_start)
-    return [slice(k, k + size) for k in range(0, count, size)]
+
+def _chunks(count: int, size: int, members: int, samples: int) -> list:
+    """Consecutive slices of ``count`` starts, each within STACK_FLOATS.
+
+    Each start is ``members`` integrated states of ``size`` floats, each
+    sampled at ``samples`` + 1 times.
+    """
+    per_start = members * (samples + 1 + _WORK_STATES) * size
+    step = max(1, STACK_FLOATS // per_start)
+    return [slice(k, k + step) for k in range(0, count, step)]
 
 
 def _starts_and_fixed_point(model: PolicyModel, starts) -> tuple:
@@ -928,9 +876,9 @@ def lyapunov_report(
     starts, fp = _starts_and_fixed_point(model, starts)
     delta = min(5e-4, step_bound(model) / 4)
     rates, gaps = [], []
-    # the look-ahead trajectory, three samples of every sampled state, is
-    # the largest stack a chunk integrates
-    for part in _chunks(len(starts), 3 * (LYAPUNOV_SAMPLES + 1) * starts[0].size):
+    # the look-ahead from every sampled state is the largest stack a chunk
+    # integrates
+    for part in _chunks(len(starts), starts[0].size, LYAPUNOV_SAMPLES + 1, 2):
         top = upper_envelope(starts[part], fp.pi)
         states = integrate(model, top, T, samples=LYAPUNOV_SAMPLES).states
         _, mid, fwd = integrate(model, states, 2 * delta, samples=2).states
@@ -969,7 +917,7 @@ def monotonicity_report(
 
     ``lo`` and ``hi`` may carry leading batch axes (pairs are matched
     elementwise) and are integrated as one stack (in chunks of at most
-    STACK_FLOATS trajectory floats), as ``verify monotone`` does.  Inputs
+    STACK_FLOATS floats), as ``verify monotone`` does.  Inputs
     must be ordered at t=0; the margin is the most negative
     componentwise or sequence-functional gap, and ``violation_pair`` a
     flat index into the stack.
@@ -984,7 +932,7 @@ def monotonicity_report(
     pairs = a.shape[:-2]
     a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
     margins, first = [], []
-    for part in _chunks(len(a), 2 * (samples + 1) * a[0].size):
+    for part in _chunks(len(a), a[0].size, 2, samples):
         traj = integrate(model, np.stack([a[part], b[part]]), T, samples=samples)
         lo_t, hi_t = traj.states[:, 0], traj.states[:, 1]
         ordered, _, dp_min = _leq_arrays(lo_t, hi_t, tol)
@@ -1020,13 +968,13 @@ def attraction_report(
     """Integrate many starts to time T and measure convergence to pi.
 
     ``starts`` has shape (M, B, n) and is integrated as one stack (in
-    chunks of at most STACK_FLOATS trajectory floats).  Reports per-start
+    chunks of at most STACK_FLOATS floats).  Reports per-start
     sup distances to the solver fixed point and the largest pairwise
     endpoint distance (small values evidence a unique attractor).
     """
     starts, fp = _starts_and_fixed_point(model, starts)
     dists, tops, bottoms = [], [], []
-    for part in _chunks(len(starts), 2 * starts[0].size):
+    for part in _chunks(len(starts), starts[0].size, 1, 1):
         ends = integrate(model, starts[part], T, samples=1).final
         dists.append(np.max(np.abs(ends - fp.pi.h), axis=(-2, -1)))
         tops.append(ends.max(axis=0))

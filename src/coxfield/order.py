@@ -13,7 +13,8 @@ the monotonicity results strengthens componentwise ordering with a family
 of linear functionals indexed by nonincreasing level sequences; a change
 of summation makes each functional separable across phases, so the
 minimum over all sequences is a small dynamic program instead of an
-exponential enumeration.
+exponential enumeration.  A state's JSON form is read and written by
+``coxfield.cli``.
 """
 
 import math
@@ -173,10 +174,6 @@ def state_space_report(state: StateLike, tol: float = OMEGA_TOL) -> StateSpaceRe
         for l, i in np.argwhere(bad)
     )
     return StateSpaceReport(False, violations)
-
-
-def in_state_space(state: StateLike, tol: float = OMEGA_TOL) -> bool:
-    return state_space_report(state, tol).ok
 
 
 def to_occupancy(state: StateLike, tol: float = OMEGA_TOL) -> OccupancyState:
@@ -390,26 +387,3 @@ def upper_envelope(h: StateLike, pi: StateLike):
     col = np.maximum(a[..., :, 0], b[:, 0])
     env = np.repeat(col[..., None], b.shape[1], axis=-1)
     return MeanFieldState(env) if env.ndim == 2 else env
-
-
-def state_to_dict(state: StateLike) -> dict:
-    """Plain-dict form {"B", "n", "h"} with h as a nested list."""
-    h = _as_h(state)
-    return {"B": h.shape[0], "n": h.shape[1], "h": h.tolist()}
-
-
-def state_from_dict(data: dict) -> MeanFieldState:
-    """Inverse of :func:`state_to_dict`, with schema validation."""
-    from .dist import SchemaError
-
-    if not isinstance(data, dict):
-        raise SchemaError(f"state must be a JSON object, got {type(data).__name__}")
-    missing = {"B", "n", "h"} - data.keys()
-    if missing:
-        raise SchemaError(f"state is missing fields {missing}")
-    h = np.asarray(data["h"], dtype=float)
-    if h.ndim != 2 or h.shape != (int(data["B"]), int(data["n"])):
-        raise SchemaError(
-            f"state array has shape {h.shape}, expected ({data['B']}, {data['n']})"
-        )
-    return MeanFieldState(h)

@@ -42,7 +42,7 @@ from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .mfode import PolicyModel
 from .order import StateLike, _as_h, _tail_sums
@@ -330,7 +330,7 @@ def _pool(config: SimConfig, results: list) -> StationaryEstimate:
     h_bar = per.mean(axis=0)
     if R > 1:
         spread = per.std(axis=0, ddof=1) / math.sqrt(R)
-        half = float(stats.t.ppf(0.975, R - 1)) * spread
+        half = float(special.stdtrit(R - 1, 0.975)) * spread
     else:
         half = np.zeros_like(h_bar)
     return StationaryEstimate(

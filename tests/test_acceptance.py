@@ -131,7 +131,7 @@ def test_ac03_rate_sum_identity_and_increasing_remainder(capsys):
             continue
         k = int(rng.integers(1, n))
         l = int(rng.integers(k + 1, n + 1))
-        dev = max(dev, abs(cf.telescoping_rate_sum(k, l, rates) + 1.0))
+        dev = max(dev, abs(test_dist.telescoping_rate_sum(k, l, rates) + 1.0))
         done += 1
     increasing = all(
         np.all(np.diff(cf.remaining_service_times(cf.random_coxian_decreasing(rng))) > 0)

@@ -1,7 +1,10 @@
 """Command-line interface: files, schemas, exit codes, determinism."""
 
 import json
+import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from unittest import mock
@@ -12,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxfield as cf
-from coxfield.cli import main
-from coxfield.mfode import SCHEMA_CAPS
+from coxfield.cli import (
+    SCHEMA_CAPS, main, model_from_dict, state_from_dict, state_to_dict,
+)
 
 
 HYPER = {"kind": "hyperexp", "weights": [0.5, 0.5], "rates": [2.0, 2.0 / 3.0]}
@@ -124,8 +128,8 @@ def test_fixed_point_output(tmp_path):
     assert main(["fixed-point", src, "--out", str(tmp_path)]) == 0
     out = load(tmp_path, "fixed_point.json")
     assert out["residual"] <= 1e-12
-    pi = cf.state_from_dict(out["pi"])
-    model = cf.model_from_dict(json.loads((tmp_path / "model.json").read_text()))
+    pi = state_from_dict(out["pi"])
+    model = model_from_dict(json.loads((tmp_path / "model.json").read_text()))
     assert np.abs(pi.h - cf.fixed_point(model).pi.h).max() < 1e-12
     assert out["structure"]["phase_residual"] <= 1e-10
     assert out["structure"]["generator_residual"] <= 1e-10
@@ -185,7 +189,7 @@ def test_integrate_csv(tmp_path):
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert rows[0, 0] == 0.0 and np.all(rows[0, 1:] == 0.0)
     assert rows[-1, 0] == 5.0
-    model = cf.model_from_dict(json.loads((tmp_path / "model.json").read_text()))
+    model = model_from_dict(json.loads((tmp_path / "model.json").read_text()))
     want = cf.integrate(model, cf.zero_state(4, 2), 5.0, samples=4).final
     assert np.abs(rows[-1, 1:].reshape(4, 2) - want).max() < 1e-12
 
@@ -210,12 +214,12 @@ def test_integrate_inits(tmp_path):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 2
     assert [float(v) for v in lines[1].split(",")] == [0.0] + [1.0] * 6
-    state = write(tmp_path / "state.json", cf.state_to_dict(cf.full_state(3, 2)))
+    state = write(tmp_path / "state.json", state_to_dict(cf.full_state(3, 2)))
     args = ["integrate", src, "--t-final", "0", "--init", state, "--out", str(tmp_path)]
     assert main(args) == 0
     assert (tmp_path / "trajectory.csv").read_text().splitlines()[1] == lines[1]
     # shape mismatch between state file and model
-    tall = write(tmp_path / "tall.json", cf.state_to_dict(cf.full_state(5, 2)))
+    tall = write(tmp_path / "tall.json", state_to_dict(cf.full_state(5, 2)))
     assert main(["integrate", src, "--t-final", "1", "--init", tall,
                  "--out", str(tmp_path)]) == 2
 
@@ -309,6 +313,29 @@ def test_simulate_rejects_huge_event_count(tmp_path):
     with pytest.warns(UserWarning, match="unstable"):
         assert main(["simulate", src, "--out", str(tmp_path)]) == 1
     assert "expected events" in load(tmp_path, "manifest.json")["error"]
+
+
+def test_tolerance_is_used_as_given(tmp_path):
+    # --tol 0 used to mean the command's default tolerance
+    args = ["verify", "attract", "--model", model_file(tmp_path), "--count", "2",
+            "--T", "150", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert main(args + ["--tol", "0"]) == 1
+    for tol in ("nan", "-1", "inf"):
+        assert main(args + ["--tol", tol]) == 2
+        assert "--tol" in load(tmp_path, "manifest.json")["error"]
+    src = write(tmp_path / "dist.json", HYPER)
+    assert main(["convert", src, "--tol", "nan", "--out", str(tmp_path)]) == 2
+
+
+def test_import_loads_neither_cli_nor_scipy_stats():
+    code = ("import sys, coxfield; "
+            "print(sorted({'coxfield.cli', 'scipy.stats'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_fixed_point_rejects_absurd_choice_count(tmp_path):
@@ -410,6 +437,101 @@ def test_simulate_schema_fuzz(doc):
 
 
 # ---------------------------------------------------------------------------
+# malformed documents, deterministically: each key of each document set to
+# each edge value; malformed input exits 2, other input 0 or 1, and main()
+# never raises
+
+SMALL_MODEL = {"policy": "jsq", "lambda": 0.5, "B": 2, "d": 2, "service": EXPO}
+STATE = {"B": 2, "n": 1, "h": [[0.5], [0.25]]}
+#: per document: its command line, its base document (by key, None for the
+#: other keys), its required keys and its integer keys
+DOCUMENTS = {
+    "distribution": (["convert", "DOC"], {None: HYPER, "continuations": COX},
+                     {"kind", "rates", "weights", "continuations"}, set()),
+    "model": (["fixed-point", "DOC"],
+              {None: SMALL_MODEL, "r": dict(SMALL_MODEL, policy="pullpush", r=1.0),
+               "K": dict(SMALL_MODEL, policy="batchjsq", K=1)},
+              {"policy", "lambda", "service"}, {"B", "d", "K"}),
+    "state": (["integrate", "MODEL", "--t-final", "0", "--init", "DOC"], {None: STATE},
+              {"B", "n", "h"}, {"B", "n"}),
+    "simulation": (["simulate", "DOC"],
+                   {None: {"model": SMALL_MODEL, "N": 3, "horizon": 0.05, "warmup": 0.0,
+                           "replications": 1, "seed": 0}},
+                   {"model", "N", "horizon"}, {"N", "replications", "seed"}),
+}
+LIST_EDGES = [[[1.0]], ["1"], [True], [1.0, "x"], {}]
+ROW_EDGES = [[0.5, 0.25], [[[0.5]], [[0.25]]], [["1"], [0.5]], [[True], [0.5]],
+             [[0.5], [0.25, 0.0]], [[0.5]], {}, "abc"]
+NOT_NUMBERS = {"kind", "policy", "service", "model", "rates", "weights",
+               "continuations", "h"}
+
+
+def _malformed(name, key, value):
+    required, integers = DOCUMENTS[name][2:]
+    if value is None or value is _ABSENT:
+        return key in required
+    if name == "state" or key in NOT_NUMBERS:
+        # a state's other B or n no longer matches its rows
+        return True
+    if isinstance(value, (str, bool)):
+        return True
+    return key in integers and not (
+        float(value).is_integer() and value <= SCHEMA_CAPS.get(key, math.inf)
+    )
+
+
+def _document_cases():
+    for name, (_, bases, _, _) in DOCUMENTS.items():
+        for key in sorted({key for base in bases.values() for key in base}):
+            edges = _edges(key)
+            edges += ROW_EDGES if key == "h" else []
+            edges += LIST_EDGES if key in ("rates", "weights", "continuations") else []
+            for k, value in enumerate(edges):
+                doc = dict(bases.get(key, bases[None]))
+                if value is _ABSENT:
+                    del doc[key]
+                else:
+                    doc[key] = value
+                code = 2 if _malformed(name, key, value) else None
+                yield pytest.param(name, doc, code, id=f"{name}-{key}-{k}")
+
+
+#: the malformed documents that used to raise or be accepted
+MALFORMED = [
+    ("model", dict(SMALL_MODEL, service={**EXPO, "continuations": None})),
+    ("model", dict(SMALL_MODEL, service={**EXPO, "rates": 5})),
+    ("model", dict(SMALL_MODEL, service={**HYPER, "weights": [[1.0]]})),
+    ("model", dict(SMALL_MODEL, service={**EXPO, "rates": "ab"})),
+    ("model", dict(SMALL_MODEL, service={**HYPER, "rates": [2.0, "x"]})),
+    ("model", dict(SMALL_MODEL, service={**EXPO, "rates": [True]})),
+    ("model", dict(SMALL_MODEL, service={**EXPO, "rates": ["1"]})),
+    ("state", dict(STATE, B=None)),
+    ("state", dict(STATE, h={})),
+    ("state", dict(STATE, B="x")),
+    ("state", dict(STATE, h=[[0.5], [0.25, 0.0]])),
+    ("state", dict(STATE, h="abc")),
+    ("state", dict(STATE, B=2.5)),
+    ("state", dict(STATE, h=[[True], [0.5]])),
+    ("model", dict(SMALL_MODEL, policy="fifo")),
+    ("model", dict(SMALL_MODEL, policy=["jsq"])),
+]
+
+
+@pytest.mark.parametrize(
+    "name, doc, code",
+    [pytest.param(name, doc, 2, id=f"table-{k}") for k, (name, doc) in enumerate(MALFORMED)]
+    + list(_document_cases()),
+)
+def test_malformed_documents_exit_2(tmp_path, name, doc, code):
+    files = {"DOC": write(tmp_path / "doc.json", doc),
+             "MODEL": write(tmp_path / "model.json", SMALL_MODEL)}
+    argv = [files.get(arg, arg) for arg in DOCUMENTS[name][0]]
+    with mock.patch.dict(os.environ, {"COXFIELD_THREADS": "1"}):
+        got = main(argv + ["--out", str(tmp_path)])
+    assert got == code if code else got in (0, 1)
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 
@@ -484,7 +606,7 @@ def test_verify_monotone_matches_per_pair_reports(tmp_path):
             "--seed", "7", "--out", str(tmp_path)]
     assert main(args) == 0
     cases = load(tmp_path, "verify_monotone.json")["cases"]
-    model = cf.model_from_dict(json.loads((tmp_path / "model.json").read_text()))
+    model = model_from_dict(json.loads((tmp_path / "model.json").read_text()))
     model = model.with_buffer(10)
     rng = np.random.default_rng(7)
     for k, case in enumerate(cases):

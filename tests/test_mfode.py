@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import coxfield as cf
-from coxfield.dist import SchemaError
+from coxfield.cli import SchemaError, model_from_dict, model_to_dict
 from coxfield import mfode
 from coxfield.mfode import (
     LYAPUNOV_SAMPLES, _gl_terms, _overflow_terms, _poly, _prime_terms, _slope, drift,
@@ -231,17 +231,17 @@ def test_model_validation(balanced_service):
 
 
 def test_model_from_dict_numbers(balanced_service):
-    base = cf.model_to_dict(
+    base = model_to_dict(
         cf.PolicyModel(kind="batchjsq", lam=0.3, service=balanced_service, B=9, d=3, K=2)
     )
-    model = cf.model_from_dict(dict(base, B=9.0, d=3.0, K=2.0))
+    model = model_from_dict(dict(base, B=9.0, d=3.0, K=2.0))
     assert (model.B, model.d, model.K) == (9, 3, 2)
     assert all(type(v) is int for v in (model.B, model.d, model.K))
     for key, value in (("B", 2.5), ("d", 2.5), ("K", 1.5), ("d", "3"), ("K", True),
                        ("B", math.inf), ("d", math.nan), ("lambda", "0.3"),
                        ("lambda", None), ("r", "1")):
         with pytest.raises(SchemaError):
-            cf.model_from_dict(dict(base, **{key: value}))
+            model_from_dict(dict(base, **{key: value}))
 
 
 def test_model_warns_when_unstable(balanced_service):
@@ -259,18 +259,18 @@ def test_model_dict_round_trip(balanced_service):
     model = cf.PolicyModel(
         kind="batchjsq", lam=0.3, service=balanced_service, B=9, d=3, K=2
     )
-    again = cf.model_from_dict(cf.model_to_dict(model))
+    again = model_from_dict(model_to_dict(model))
     assert again == model
     # hyperexp service converts on load
-    data = cf.model_to_dict(model)
+    data = model_to_dict(model)
     data["service"] = {
         "kind": "hyperexp",
         "weights": [0.5, 0.5],
         "rates": [2.0, 2.0 / 3.0],
     }
-    assert cf.model_from_dict(data).service == balanced_service
+    assert model_from_dict(data).service == balanced_service
     with pytest.raises(SchemaError):
-        cf.model_from_dict({"policy": "jsq", "lambda": 0.5})
+        model_from_dict({"policy": "jsq", "lambda": 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_non_finite_state_is_invalid(balanced_service, entry):
     h[1, 0] = entry
     report = cf.state_space_report(h)
     assert not report.ok and report.violations[0] == "non-finite at (2, 1)"
-    assert not cf.in_state_space(h, tol=1.0)
+    assert not cf.state_space_report(h, tol=1.0).ok
     with pytest.raises(ValueError, match="non-finite at \\(2, 1\\)"):
         cf.to_occupancy(h)
     model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=4, d=2)
@@ -354,7 +354,7 @@ def test_states_stay_valid_along_flow(balanced_service, rng):
     model = cf.PolicyModel(kind="batchjsq", lam=0.3, service=balanced_service, B=6, d=3, K=2)
     traj = cf.integrate(model, cf.random_state(6, 2, rng), 10.0, samples=20)
     for state in traj.states:
-        assert cf.in_state_space(state, tol=1e-8)
+        assert cf.state_space_report(state, tol=1e-8).ok
 
 
 def test_adaptive_matches_fine_rk4(balanced_service):
@@ -501,7 +501,7 @@ def test_fixed_point_defining_property(balanced_service):
     # constant trajectory
     end = cf.integrate(model, fp.pi, 5.0, samples=1).final
     assert np.abs(end - fp.pi.h).max() < 1e-11
-    assert cf.in_state_space(fp.pi)
+    assert cf.state_space_report(fp.pi).ok
 
 
 def test_fixed_point_exponential_anchor():
@@ -776,8 +776,9 @@ def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
     lo = np.stack([s * cf.random_state(5, 2, rng).h for s in scales])
     hi = np.ones_like(lo)
     starts = np.stack([cf.random_state(5, 2, rng).h for _ in range(50)])
-    pair_floats = 2 * 11 * 5 * 2  # both sides, 10 samples + start, B n
-    start_floats = 2 * 5 * 2  # start and end, B n
+    # both sides, 10 samples + start and the integrator's working states, B n
+    pair_floats = 2 * (11 + mfode._WORK_STATES) * 5 * 2
+    start_floats = (2 + mfode._WORK_STATES) * 5 * 2  # start, end and working states
     stacks = []
 
     def integrate(model, h0, *args, **kwargs):
@@ -796,13 +797,13 @@ def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
             stacks.clear()
             runs.append((mono, lyap, cf.attraction_report(model, starts, 2.0)))
     (mono, lyap, attr), (mono_chunked, lyap_chunked, attr_chunked) = runs
-    # the attraction stack of 50 starts runs in chunks of 22, 22 and 6
-    assert len(mfode._chunks(50, start_floats)) == 3
+    # the attraction stack of 50 starts runs in 10 chunks of 5
+    assert len(mfode._chunks(50, 5 * 2, 1, 1)) == 10
     assert max(stacks) == 2 * pair_floats // start_floats
     assert attr.max_distance == attr_chunked.max_distance
     assert attr.pairwise_max == attr_chunked.pairwise_max > 0
     assert attr.distances.tobytes() == attr_chunked.distances.tobytes()
-    assert len(mfode._chunks(6, pair_floats)) == 3
+    assert len(mfode._chunks(6, 5 * 2, 2, 10)) == 3
     assert mono.pair_margins.shape == (2, 3)
     assert not mono.ok and mono.violation_pair == 4
     assert np.isfinite(mono.pair_violation_times).sum() == 3

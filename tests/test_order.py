@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import coxfield as cf
-from coxfield.dist import SchemaError
+from coxfield.cli import SchemaError, state_from_dict, state_to_dict
 from coxfield.order import ORDER_TOL, _as_h
 
 
@@ -98,8 +98,8 @@ def test_to_occupancy_rejects_invalid():
 def test_extreme_states():
     assert cf.zero_state(3, 2).h.sum() == 0
     assert cf.full_state(3, 2).h.min() == 1.0
-    assert cf.in_state_space(cf.zero_state(3, 2))
-    assert cf.in_state_space(cf.full_state(3, 2))
+    assert cf.state_space_report(cf.zero_state(3, 2)).ok
+    assert cf.state_space_report(cf.full_state(3, 2)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def test_upper_envelope_properties(rng):
         a = cf.random_state(B, n, rng)
         b = cf.random_state(B, n, rng)
         env = cf.upper_envelope(a, b)
-        assert cf.in_state_space(env)
+        assert cf.state_space_report(env).ok
         assert cf.leq(a, env) and cf.leq(b, env)
         again = cf.upper_envelope(env, env)
         assert np.array_equal(again.h, env.h)
@@ -263,15 +263,15 @@ def test_scaling_preserves_order(u, v):
 
 def test_state_dict_round_trip(rng):
     state = cf.random_state(4, 2, rng)
-    again = cf.state_from_dict(cf.state_to_dict(state))
+    again = state_from_dict(state_to_dict(state))
     assert np.array_equal(again.h, state.h)
 
 
 def test_state_dict_schema_errors():
     with pytest.raises(SchemaError):
-        cf.state_from_dict({"B": 2, "n": 2})
+        state_from_dict({"B": 2, "n": 2})
     with pytest.raises(SchemaError):
-        cf.state_from_dict({"B": 3, "n": 2, "h": [[0.1, 0.0]]})
+        state_from_dict({"B": 3, "n": 2, "h": [[0.1, 0.0]]})
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 import coxfield as cf
 from coxfield import sim
+from coxfield.cli import model_from_dict, model_to_dict
 from coxfield.sim import StationaryEstimate
 
 
@@ -61,7 +62,7 @@ def test_estimate_lies_in_state_space(balanced_service):
     )
     config = cf.SimConfig(model=model, N=60, horizon=120.0, seed=5, warmup=20.0)
     est = cf.simulate(config)
-    assert cf.in_state_space(est.h_bar, tol=1e-12)
+    assert cf.state_space_report(est.h_bar, tol=1e-12).ok
 
 
 def test_determinism_and_seed_sensitivity(balanced_service):
@@ -117,7 +118,7 @@ def test_one_server_cluster_runs(balanced_service):
     # probes have no peer to pull from when N=1
     model = cf.PolicyModel(kind="pullpush", lam=0.5, r=2.0, service=balanced_service, B=4)
     est = cf.simulate(cf.SimConfig(model=model, N=1, horizon=200.0, seed=1, warmup=20.0))
-    assert cf.in_state_space(est.h_bar, tol=1e-12)
+    assert cf.state_space_report(est.h_bar, tol=1e-12).ok
     assert 0.0 < est.h_bar[0, 0] < 1.0
 
 
@@ -126,7 +127,7 @@ def test_overloaded_model_runs_and_drops(balanced_service):
         model = cf.PolicyModel(kind="jsq", lam=1.2, service=balanced_service, B=3, d=2)
     est = cf.simulate(cf.SimConfig(model=model, N=20, horizon=30.0, seed=0, warmup=5.0))
     assert est.drop_fraction > 0.0
-    assert cf.in_state_space(est.h_bar, tol=1e-12)
+    assert cf.state_space_report(est.h_bar, tol=1e-12).ok
 
 
 # SHA-256 over (dwell bytes, drops, jobs) of seeds 0, 1, 2: the event loop
@@ -291,11 +292,11 @@ STRAY_CASES = [
 @pytest.mark.parametrize("doc, stray", STRAY_CASES)
 def test_stray_model_fields_have_no_effect(doc, stray):
     service = {"kind": "hyperexp", "weights": [0.5, 0.5], "rates": [2.0, 2.0 / 3.0]}
-    clean = cf.model_from_dict({**doc, "B": 8, "service": service})
-    mixed = cf.model_from_dict({**doc, **stray, "B": 8, "service": service})
+    clean = model_from_dict({**doc, "B": 8, "service": service})
+    mixed = model_from_dict({**doc, **stray, "B": 8, "service": service})
     assert mixed.arrival == clean.arrival
     assert mixed.rate_bound == clean.rate_bound
-    assert cf.model_to_dict(mixed) == cf.model_to_dict(clean)
+    assert model_to_dict(mixed) == model_to_dict(clean)
     configs = [cf.SimConfig(model=m, N=20, horizon=260.0, seed=3) for m in (clean, mixed)]
     assert configs[0].resolved_warmup == configs[1].resolved_warmup
     runs = [cf.simulate(config) for config in configs]
