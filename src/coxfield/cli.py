@@ -52,6 +52,7 @@ from .mfode import (
     monotonicity_report,
 )
 from .order import (
+    ORDER_TOL,
     MeanFieldState,
     _as_h,
     full_state,
@@ -80,6 +81,12 @@ class SchemaError(ValueError):
 #: 1e300 would loop for ever in the drift and an ``N`` of 1e300 cannot be
 #: allocated.  ``B`` allows twice the largest automatic buffer.
 SCHEMA_CAPS = {"B": 1024, "d": 100, "K": 100, "N": 10**6, "replications": 10**4}
+
+#: Largest accepted size of one ``verify order-oracle`` case: the number of
+#: level sequences it enumerates, C(B + phases - 1, phases), and the B·phases
+#: entries of its states.  The enumeration grows combinatorially: B=24,
+#: phases=7 (2,035,800 sequences) took 41 s for four cases.
+ORACLE_CAP = 10**5
 
 
 def _field(data: dict, key: str, where: str, depth=0, integer=False, required=False):
@@ -196,6 +203,11 @@ def state_from_dict(data) -> MeanFieldState:
     return MeanFieldState(h)
 
 
+def _tol(args, name="tol"):
+    """``{name: --tol}`` when --tol is given; otherwise the callee's default."""
+    return {} if args.tol is None else {name: args.tol}
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
@@ -217,13 +229,12 @@ def _write_manifest(args, inputs, outputs, started, error=None):
         "command": args.command,
         "argv": list(args.raw_argv),
         "tool_version": __version__,
-        "seed": args.seed,
-        "tol": args.tol,
         "out_dir": os.path.abspath(args.out),
         "inputs": inputs,
         "outputs": sorted(outputs),
         "wall_clock_s": round(time.monotonic() - started, 6),
     }
+    manifest |= {key: getattr(args, key) for key in ("seed", "tol") if key in args}
     if args.stats is not None:
         manifest["stats"] = args.stats
     if error is not None:
@@ -254,23 +265,22 @@ def _cmd_convert(args):
         },
         "moments": {"m1": m1, "m2": m2, "m3": m3},
     }
+    code = 0
     if not isinstance(dist, CoxianDistribution):
         grid = np.linspace(0.1, 5.0, 50) * m1
         gap = float(np.max(np.abs(cdf(dist, grid) - cdf(cox, grid))))
         out["cdf_max_gap"] = gap
-        if gap > args.tolerance:
-            path = os.path.join(args.out, "convert.json")
-            _write_json(path, out)
+        if gap > (1e-10 if args.tol is None else args.tol):
             print(f"conversion CDF gap {gap:.3e} exceeds tolerance", file=sys.stderr)
-            return 1, {"input": data}, [path]
+            code = 1
     path = os.path.join(args.out, "convert.json")
     _write_json(path, out)
-    return 0, {"input": data}, [path]
+    return code, {"input": data}, [path]
 
 
 def _cmd_fit(args):
     target = MomentTriple(args.m1, args.n2, args.n3)
-    hyper = fit_hyperexp2(target, region_tol=args.tolerance)
+    hyper = fit_hyperexp2(target, **_tol(args, "region_tol"))
     achieved = normalized_moments(hyper)
     out = {
         "target": {"m1": target.m1, "n2": target.n2, "n3": target.n3},
@@ -285,7 +295,7 @@ def _cmd_fit(args):
 
 def _cmd_fixed_point(args):
     model = model_from_dict(_load_json(args.model))
-    result = fixed_point(model, residual_tol=args.tolerance)
+    result = fixed_point(model, **_tol(args, "residual_tol"))
     args.stats = asdict(result.stats)
     structure = fixed_point_structure_residual(result.pi, model.service)
     out = {
@@ -303,14 +313,10 @@ def _cmd_fixed_point(args):
 
 
 def _initial_state(init, model):
-    if init == "empty":
+    if init in ("empty", "full"):
         if model.B is None:
             raise SchemaError("model needs a finite B to integrate")
-        return zero_state(model.B, model.n)
-    if init == "full":
-        if model.B is None:
-            raise SchemaError("model needs a finite B to integrate")
-        return full_state(model.B, model.n)
+        return (zero_state if init == "empty" else full_state)(model.B, model.n)
     state = state_from_dict(_load_json(init))
     if (model.B is not None and state.B != model.B) or state.n != model.n:
         raise SchemaError(
@@ -343,6 +349,8 @@ def _cmd_integrate(args):
 def _cmd_simulate(args):
     data = _object(_load_json(args.config), "simulation config")
     model = model_from_dict(data.get("model"))
+    if model.B is None:
+        raise SchemaError("simulation model is missing required field 'B'")
 
     def number(key, integer=False, required=False):
         return _field(data, key, "simulation", integer=integer, required=required)
@@ -379,7 +387,7 @@ def _cmd_simulate(args):
     return 0, inputs, [path]
 
 
-def _leq_enumerate(lo, hi, tol):
+def _leq_enumerate(lo, hi, tol=ORDER_TOL):
     """Reference order decision straight from the definition."""
     a, b = _as_h(lo), _as_h(hi)
     if float((b - a).min()) < -tol:
@@ -412,7 +420,7 @@ def _random_starts(count, model, rng):
 def _suite_monotone(args, model, rng):
     pairs = [_ordered_pair(rng, model.B, model.n, k % 3) for k in range(args.count)]
     lo, hi = (np.stack([_as_h(p[side]) for p in pairs]) for side in (0, 1))
-    report = monotonicity_report(model, lo, hi, args.T, samples=20, tol=args.tolerance)
+    report = monotonicity_report(model, lo, hi, args.T, samples=20, **_tol(args))
     cases = [
         {
             "ok": bool(np.isnan(t)),
@@ -426,7 +434,7 @@ def _suite_monotone(args, model, rng):
 
 def _suite_attract(args, model, rng):
     starts = _random_starts(args.count, model, rng)
-    report = attraction_report(model, starts, args.T, tol=args.tolerance)
+    report = attraction_report(model, starts, args.T, **_tol(args))
     return {
         "distances": report.distances,
         "max_distance": report.max_distance,
@@ -437,7 +445,7 @@ def _suite_attract(args, model, rng):
 
 def _suite_lyapunov(args, model, rng):
     starts = _random_starts(args.count, model, rng)
-    report = lyapunov_report(model, starts, args.T, tol=args.tolerance)
+    report = lyapunov_report(model, starts, args.T, **_tol(args))
     cases = [
         {"max_rate": rate, "max_fd_gap": gap, "ok": ok}
         for rate, gap, ok in zip(report.max_rates, report.max_fd_gaps, report.passed)
@@ -447,7 +455,12 @@ def _suite_lyapunov(args, model, rng):
 
 def _suite_order_oracle(args, rng):
     B, n = args.B, args.phases
-    tol = args.tolerance
+    if B < 1 or n < 1:
+        raise SchemaError(f"--B and --phases must be at least 1, got {B} and {n}")
+    if B * n > ORACLE_CAP or math.comb(B + n - 1, n) > ORACLE_CAP:
+        raise SchemaError(f"--B {B} --phases {n} gives cases above ORACLE_CAP "
+                          f"({ORACLE_CAP} level sequences or state entries)")
+    tol = _tol(args)
     agree = 0
     cases = []
     for k in range(args.count):
@@ -455,28 +468,14 @@ def _suite_order_oracle(args, rng):
             lo, hi = _ordered_pair(rng, B, n, k % 3)
         else:
             lo, hi = random_state(B, n, rng), random_state(B, n, rng)
-        got = leq(lo, hi, tol=tol)
-        want = _leq_enumerate(lo, hi, tol)
+        got = leq(lo, hi, **tol)
+        want = _leq_enumerate(lo, hi, **tol)
         agree += got == want
         if got != want:
             cases.append({"case": k, "dp": got, "enumeration": want})
-    out = {
-        "B": B,
-        "n": n,
-        "count": args.count,
-        "agreements": agree,
-        "disagreements": cases,
-        "pass": agree == args.count,
-    }
-    return out, {"B": B, "n": n, "count": args.count}
-
-
-#: suites run on the --model file, with B=10 when it sets none
-_MODEL_SUITES = {
-    "monotone": _suite_monotone,
-    "attract": _suite_attract,
-    "lyapunov": _suite_lyapunov,
-}
+    inputs = {"B": B, "n": n, "count": args.count}
+    out = {"agreements": agree, "disagreements": cases, "pass": agree == args.count}
+    return inputs | out, inputs
 
 
 def _cmd_verify(args):
@@ -491,7 +490,7 @@ def _cmd_verify(args):
         model = model_from_dict(_load_json(args.model))
         model = model.with_buffer(model.B or 10)
         inputs = {"model": model_to_dict(model)}
-        result = {**inputs, **_MODEL_SUITES[args.suite](args, model, rng)}
+        result = {**inputs, **args.check(args, model, rng)}
     out = {"suite": args.suite, **result}
     path = os.path.join(args.out, f"verify_{args.suite.replace('-', '_')}.json")
     _write_json(path, out)
@@ -499,11 +498,14 @@ def _cmd_verify(args):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument(
-        "--tol", type=float, default=None, help="override the command's tolerance"
+    # each subcommand and verify suite takes only the options it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output directory")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
+        "--tol", type=float, default=None, help="override the default tolerance"
     )
 
     parser = argparse.ArgumentParser(
@@ -513,58 +515,52 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "convert", parents=[common], help="hyperexponential to Coxian, with checks"
-    )
+    def command(name, run, parents, help):
+        p = sub.add_parser(name, parents=parents, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("convert", _cmd_convert, [out, tol],
+                "hyperexponential to Coxian, with checks")
     p.add_argument("input", help="distribution JSON file")
 
-    p = sub.add_parser(
-        "fit", parents=[common], help="two-branch hyperexponential from moments"
-    )
+    p = command("fit", _cmd_fit, [out, tol], "two-branch hyperexponential from moments")
     p.add_argument("--m1", type=float, required=True, help="mean")
     p.add_argument("--n2", type=float, required=True, help="m2 / m1^2")
     p.add_argument("--n3", type=float, required=True, help="m3 / (m1 m2)")
 
-    p = sub.add_parser(
-        "fixed-point", parents=[common], help="solve for the stationary profile"
-    )
+    p = command("fixed-point", _cmd_fixed_point, [out, tol],
+                "solve for the stationary profile")
     p.add_argument("model", help="model JSON file")
 
-    p = sub.add_parser("integrate", parents=[common], help="sample an ODE trajectory")
+    p = command("integrate", _cmd_integrate, [out], "sample an ODE trajectory")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--init", default="empty", help="'empty', 'full' or a state JSON")
     p.add_argument("--t-final", type=float, required=True, help="horizon")
     p.add_argument("--samples", type=int, default=50, help="rows after the first")
 
-    p = sub.add_parser(
-        "simulate", parents=[common], help="finite-N chain vs the fixed point"
-    )
+    p = command("simulate", _cmd_simulate, [out, seed],
+                "finite-N chain vs the fixed point")
     p.add_argument("config", help="simulation config JSON file")
 
-    p = sub.add_parser("verify", parents=[common], help="randomized structure checks")
-    p.add_argument("suite", choices=sorted([*_MODEL_SUITES, "order-oracle"]))
-    p.add_argument("--model", default=None, help="model JSON file")
-    p.add_argument("--count", type=int, default=None, help="number of cases")
-    p.add_argument("--T", type=float, default=None, help="integration horizon")
-    p.add_argument("--B", type=int, default=5, help="buffer size (order-oracle)")
-    p.add_argument("--phases", type=int, default=3, help="phase count (order-oracle)")
+    suites = command("verify", _cmd_verify, [], "randomized structure checks")
+    suites = suites.add_subparsers(dest="suite", required=True)
+    p = suites.add_parser("order-oracle", parents=[out, seed, tol],
+                          help="the order DP against enumeration")
+    p.add_argument("--count", type=int, default=200, help="number of cases")
+    p.add_argument("--B", type=int, default=5, help="buffer size")
+    p.add_argument("--phases", type=int, default=3, help="phase count")
+    for name, check, count, T, help in (
+        ("monotone", _suite_monotone, 25, 50.0, "the flow preserves the order"),
+        ("attract", _suite_attract, 10, 1000.0, "starts reach the fixed point"),
+        ("lyapunov", _suite_lyapunov, 5, 20.0, "the Lyapunov functionals decrease"),
+    ):
+        p = suites.add_parser(name, parents=[out, seed, tol], help=help)
+        p.set_defaults(check=check)
+        p.add_argument("--model", default=None, help="model JSON file")
+        p.add_argument("--count", type=int, default=count, help="number of cases")
+        p.add_argument("--T", type=float, default=T, help="integration horizon")
     return parser
-
-
-_COMMANDS = {
-    "convert": _cmd_convert,
-    "fit": _cmd_fit,
-    "fixed-point": _cmd_fixed_point,
-    "integrate": _cmd_integrate,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-}
-
-_SUITE_COUNTS = {"monotone": 25, "attract": 10, "lyapunov": 5, "order-oracle": 200}
-_SUITE_HORIZONS = {"monotone": 50.0, "attract": 1000.0, "lyapunov": 20.0}
-#: the tolerance each command or suite uses when --tol is not given
-_TOLERANCES = {"convert": 1e-10, "fit": 0.0, "fixed-point": 1e-12, "monotone": 1e-8,
-               "attract": 1e-6, "lyapunov": 1e-9, "order-oracle": 1e-9}
 
 
 def main(argv=None):
@@ -572,19 +568,13 @@ def main(argv=None):
     args = _build_parser().parse_args(raw)
     args.raw_argv = raw
     args.stats = None
-    if args.command == "verify":
-        if args.count is None:
-            args.count = _SUITE_COUNTS[args.suite]
-        if args.T is None:
-            args.T = _SUITE_HORIZONS.get(args.suite, 50.0)
     os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
     try:
-        if args.tol is not None and not 0 <= args.tol < math.inf:
-            raise SchemaError(f"--tol must be finite and nonnegative, got {args.tol}")
-        key = args.suite if args.command == "verify" else args.command
-        args.tolerance = _TOLERANCES.get(key) if args.tol is None else args.tol
-        code, inputs, outputs = _COMMANDS[args.command](args)
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0 <= tol < math.inf:
+            raise SchemaError(f"--tol must be finite and nonnegative, got {tol}")
+        code, inputs, outputs = args.run(args)
     except SchemaError as exc:
         print(f"coxfield {args.command}: {exc}", file=sys.stderr)
         _write_manifest(args, {}, [], started, error=str(exc))

@@ -1,8 +1,10 @@
 """Command-line interface: files, schemas, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import coxfield as cf
 from coxfield.cli import (
-    SCHEMA_CAPS, main, model_from_dict, state_from_dict, state_to_dict,
+    SCHEMA_CAPS, _build_parser, main, model_from_dict, state_from_dict, state_to_dict,
 )
 
 
@@ -278,6 +280,15 @@ def test_simulate_output(tmp_path):
     assert main(["simulate", missing, "--out", str(tmp_path)]) == 2
 
 
+def test_simulate_needs_buffer_size(tmp_path):
+    # a missing B is malformed here, as it is for integrate from 'empty'
+    config = {"model": {"policy": "jsq", "lambda": 0.6, "d": 2, "service": HYPER},
+              "N": 5, "horizon": 5.0, "warmup": 1.0}
+    src = write(tmp_path / "sim.json", config)
+    assert main(["simulate", src, "--out", str(tmp_path)]) == 2
+    assert "'B'" in load(tmp_path, "manifest.json")["error"]
+
+
 def test_simulate_manifest_stats(tmp_path):
     config = {
         "model": {"policy": "jsq", "lambda": 0.6, "d": 2, "B": 4, "service": HYPER},
@@ -326,6 +337,59 @@ def test_tolerance_is_used_as_given(tmp_path):
         assert "--tol" in load(tmp_path, "manifest.json")["error"]
     src = write(tmp_path / "dist.json", HYPER)
     assert main(["convert", src, "--tol", "nan", "--out", str(tmp_path)]) == 2
+
+
+#: (command, option) values the CLI used to accept and never read
+UNREAD_OPTIONS = [
+    *[[command, "X.json", "--seed", "1"] for command in ("convert", "fixed-point")],
+    ["fit", "--m1", "1", "--n2", "2.5", "--n3", "4.2", "--seed", "1"],
+    *[["integrate", "X.json", "--t-final", "1", option, "1"]
+      for option in ("--seed", "--tol")],
+    ["simulate", "X.json", "--tol", "1"],
+    ["verify", "order-oracle", "--model", "X.json"],
+    ["verify", "order-oracle", "--T", "5"],
+    *[["verify", suite, "--model", "X.json", option, "3"]
+      for suite in ("monotone", "attract", "lyapunov") for option in ("--B", "--phases")],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=" ".join)
+def test_unread_options_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def _options(parser):
+    return {option for action in parser._actions
+            for option in action.option_strings} - {"-h", "--help"}
+
+
+def _leaf_parsers():
+    """(name, parser) of each subcommand, with each verify suite on its own."""
+    def children(parser):
+        return next((a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)), {})
+
+    for name, parser in children(_build_parser()).items():
+        suites = children(parser)
+        if suites:
+            assert not _options(parser), name  # options belong to the suites
+        yield from ((f"{name} {suite}", p) for suite, p in suites.items())
+        if not suites:
+            yield name, parser
+
+
+def test_readme_names_every_option():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        cli = fh.read().split("\n## CLI\n")[1].split("\n## ")[0]
+    names = list(_leaf_parsers())
+    assert len(names) == 9
+    for name, parser in names:
+        lines = [line for line in cli.splitlines() if line.startswith(f"coxfield {name} ")]
+        assert len(lines) == 1, name
+        assert set(re.findall(r"--[\w-]+", lines[0])) == _options(parser), name
 
 
 def test_import_loads_neither_cli_nor_scipy_stats():
@@ -543,6 +607,24 @@ def test_verify_order_oracle(tmp_path):
     assert out["pass"] is True
     assert out["agreements"] == out["count"] == 60
     assert out["disagreements"] == []
+
+
+@pytest.mark.parametrize("size", [
+    ["--B", "0"], ["--phases", "0"], ["--B", "-3"],
+    ["--B", "24", "--phases", "7"],  # 2,035,800 level sequences
+    ["--B", "1", "--phases", "200000"],  # one sequence, but 200,000 entries
+])
+def test_verify_order_oracle_rejects_sizes(tmp_path, size):
+    started = time.perf_counter()
+    assert main(["verify", "order-oracle", *size, "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - started < 2
+    assert "--B" in load(tmp_path, "manifest.json")["error"]
+
+
+def test_verify_order_oracle_cap_admits_default_size(tmp_path):
+    args = ["verify", "order-oracle", "--count", "4", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert load(tmp_path, "verify_order_oracle.json")["B"] == 5
 
 
 def test_verify_monotone(tmp_path):
