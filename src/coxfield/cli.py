@@ -253,11 +253,7 @@ def _cmd_convert(args):
         "input": distribution_to_dict(dist),
         "coxian": distribution_to_dict(cox),
         "completion_rates": cox.completion_rates,
-        "class": {
-            "is_member": check.is_member,
-            "margin": check.margin,
-            "boundary": check.boundary,
-        },
+        "class": asdict(check),
         "mixture": {
             "weights": list(mix.weights),
             "rates": list(mix.rates),
@@ -283,10 +279,10 @@ def _cmd_fit(args):
     hyper = fit_hyperexp2(target, **_tol(args, "region_tol"))
     achieved = normalized_moments(hyper)
     out = {
-        "target": {"m1": target.m1, "n2": target.n2, "n3": target.n3},
+        "target": asdict(target),
         "hyperexp": distribution_to_dict(hyper),
         "coxian": distribution_to_dict(hyperexp_to_coxian(hyper)),
-        "achieved": {"m1": achieved.m1, "n2": achieved.n2, "n3": achieved.n3},
+        "achieved": asdict(achieved),
     }
     path = os.path.join(args.out, "fit.json")
     _write_json(path, out)
@@ -302,10 +298,7 @@ def _cmd_fixed_point(args):
         "pi": state_to_dict(result.pi),
         "residual": result.residual,
         "newton_steps": result.newton_steps,
-        "structure": {
-            "phase_residual": structure.phase_residual,
-            "generator_residual": structure.generator_residual,
-        },
+        "structure": asdict(structure),
     }
     path = os.path.join(args.out, "fixed_point.json")
     _write_json(path, out)
@@ -447,8 +440,8 @@ def _suite_lyapunov(args, model, rng):
     starts = _random_starts(args.count, model, rng)
     report = lyapunov_report(model, starts, args.T, **_tol(args))
     cases = [
-        {"max_rate": rate, "max_fd_gap": gap, "ok": ok}
-        for rate, gap, ok in zip(report.max_rates, report.max_fd_gaps, report.passed)
+        {"max_rate": rate, "max_rate_gap": gap, "ok": ok}
+        for rate, gap, ok in zip(report.max_rates, report.max_rate_gaps, report.passed)
     ]
     return {"cases": cases, "pass": report.ok}
 
@@ -508,15 +501,17 @@ def _build_parser():
         "--tol", type=float, default=None, help="override the default tolerance"
     )
 
+    # allow_abbrev=False: an option is accepted under its full name only
     parser = argparse.ArgumentParser(
         prog="coxfield",
         description="mean-field models of load balancing with Coxian job sizes",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, parents, help):
-        p = sub.add_parser(name, parents=parents, help=help)
+        p = sub.add_parser(name, parents=parents, help=help, allow_abbrev=False)
         p.set_defaults(run=run)
         return p
 
@@ -546,7 +541,7 @@ def _build_parser():
     suites = command("verify", _cmd_verify, [], "randomized structure checks")
     suites = suites.add_subparsers(dest="suite", required=True)
     p = suites.add_parser("order-oracle", parents=[out, seed, tol],
-                          help="the order DP against enumeration")
+                          help="the order DP against enumeration", allow_abbrev=False)
     p.add_argument("--count", type=int, default=200, help="number of cases")
     p.add_argument("--B", type=int, default=5, help="buffer size")
     p.add_argument("--phases", type=int, default=3, help="phase count")
@@ -555,7 +550,8 @@ def _build_parser():
         ("attract", _suite_attract, 10, 1000.0, "starts reach the fixed point"),
         ("lyapunov", _suite_lyapunov, 5, 20.0, "the Lyapunov functionals decrease"),
     ):
-        p = suites.add_parser(name, parents=[out, seed, tol], help=help)
+        p = suites.add_parser(name, parents=[out, seed, tol], help=help,
+                              allow_abbrev=False)
         p.set_defaults(check=check)
         p.add_argument("--model", default=None, help="model JSON file")
         p.add_argument("--count", type=int, default=count, help="number of cases")

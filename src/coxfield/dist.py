@@ -185,14 +185,6 @@ class MomentTriple:
                 f"normalized moments must be >= 1, got n2={self.n2}, n3={self.n3}"
             )
 
-    @property
-    def m2(self) -> float:
-        return self.n2 * self.m1 ** 2
-
-    @property
-    def m3(self) -> float:
-        return self.n3 * self.m1 * self.m2
-
 
 @dataclass(frozen=True)
 class CompletionRateCheck:

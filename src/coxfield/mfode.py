@@ -35,13 +35,13 @@ own step, so its numbers do not depend on the other starts, and a trial
 step whose result leaves the state space is repeated with a smaller
 step, never clipped.  A trial keeps its 13 stages in one buffer, and each
 stage sum is one einsum call that adds the stages in order, member by
-member.  It is the one flow: the certificates, including the
-Lyapunov look-ahead, take their states from it.  Fixed points are
-found by pseudo-transient continuation from the empty state, or from the
-full state when the load lam K is at least 1: backward-
-Euler steps (I/tau - J) delta = f(h) on the full (B n)-dimensional drift,
-with J a one-shot batched finite-difference Jacobian and the pseudo-time
-step tau growing as the drift falls, until the step is plain Newton.
+member.  It is the one flow: the certificates take their states from
+it.  Fixed points are found by pseudo-transient continuation from the
+empty state, or from the full state when the load lam K is at least 1:
+backward-Euler steps (I/tau - J) delta = f(h) on the full
+(B n)-dimensional drift, with J a one-shot batched finite-difference
+Jacobian and the pseudo-time step tau growing as the drift falls, until
+the step is plain Newton.
 The fixed point is unique and attracts every valid state, so a valid
 state with zero drift is it; iterates that leave the state space are
 rejected with a smaller tau rather than clipped.
@@ -50,7 +50,9 @@ The certificates (monotonicity, attraction and Lyapunov reports) are
 computed here only: each takes a stack of starts, integrates it as a
 stack (in chunks of at most STACK_FLOATS floats, counting the samples and
 the integrator's working states) and reports per start, and each
-``verify`` suite makes one call.
+``verify`` suite makes one call.  The Lyapunov report checks its closed-form
+rates exactly: both functionals are linear in h, so their rate along the
+flow is their value at the drift.
 
 Models are built from Python values; their JSON form is read and written
 by ``coxfield.cli``.
@@ -291,8 +293,10 @@ class _DriftTerms:
         self.same = to_diffs @ by_diff
         self.below = to_diffs @ nu
 
-    def add_arrivals(self, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add the arrival drift at h (..., B, n) to ``out`` in place."""
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        """The drift at a C-contiguous h (..., B, n)."""
+        out = h @ self.same
+        out[..., :-1, 0] += h[..., 1:, :] @ self.below
         q = h[..., 0]
         out[..., 0, 0] += self.lam_K - _poly(q[..., 0], self.overflow)
         x1 = q[..., 1:]
@@ -305,24 +309,6 @@ class _DriftTerms:
             out[..., 0, 0] += pull * q[..., 1]
             out[..., 1:, :] -= pull[..., None, None] * _cell_diffs(h[..., 1:, :])
         return out
-
-    def __call__(self, h: np.ndarray) -> np.ndarray:
-        """The drift at a C-contiguous h (..., B, n)."""
-        out = h @ self.same
-        out[..., :-1, 0] += h[..., 1:, :] @ self.below
-        return self.add_arrivals(h, out)
-
-
-def arrival_drift(model: PolicyModel, h: StateLike) -> np.ndarray:
-    """Arrival drift: the policy's overflow polynomial F, plus pullpush's pulls.
-
-    Phase 1 of level 1 gets lam (K - F(h_{1,1})), as F(1) = K.  Every
-    phase i of level l >= 2 gets lam (h_{l-1,i} - h_{l,i}) times the divided
-    difference of F between h_{l,1} and h_{l-1,1}; in phase 1 that is
-    lam (F(h_{l-1,1}) - F(h_{l,1})), free of cancellation.
-    """
-    h = _as_h(h, batch=True)
-    return model._terms.add_arrivals(h, np.zeros_like(h))
 
 
 def drift(model: PolicyModel, h: StateLike) -> np.ndarray:
@@ -444,9 +430,10 @@ def _dop_trial(model, y, k1, h):
 
     The 13 stages share one (13, M, B, n) buffer, and every stage sum is
     one einsum over it.  Returns the eighth-order result, its drift and the
-    per-member error norm e5^2 / sqrt(e5^2 + 0.01 e3^2), where e5 and e3
-    are the max over (B, n) of |est| / (ATOL + RTOL max(|y|, |y_new|)) for
-    the fifth- and third-order estimates.
+    per-member error norm e5^2 / sqrt(e5^2 + 0.01 e3^2), taken as 0 where
+    the denominator is 0, with e5 and e3 the max over (B, n) of
+    |est| / (ATOL + RTOL max(|y|, |y_new|)) for the fifth- and third-order
+    estimates.
     """
     ks = np.empty((len(_DOP_E5),) + y.shape)
     ks[0] = k1
@@ -459,9 +446,11 @@ def _dop_trial(model, y, k1, h):
         (np.abs(h * _stage_sum(e, ks)) / scale).max(axis=(-2, -1))
         for e in (_DOP_E5, _DOP_E3)
     )
-    with np.errstate(invalid="ignore"):  # 0 / 0 where both estimates vanish
-        err = e5 * e5 / np.sqrt(e5 * e5 + 0.01 * (e3 * e3))
-    return y_new, ks[-1], np.where(e5 == 0, 0.0, err)
+    # on a short enough step e5^2 and e3^2 both underflow to 0
+    norm = e5 * e5 + 0.01 * (e3 * e3)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where the norm vanishes
+        err = e5 * e5 / np.sqrt(norm)
+    return y_new, ks[-1], np.where(norm == 0, 0.0, err)
 
 
 def _growth(err: float) -> float:
@@ -829,21 +818,30 @@ def lyapunov_values(h: StateLike, service: CoxianDistribution, L: int = 1):
 def lyapunov_rates(model: PolicyModel, h: StateLike, L: int = 1):
     """Closed-form time derivatives of the two Lyapunov functionals.
 
-    Broadcasts over leading batch axes of ``h`` like ``lyapunov_values``.
+    The arrivals into {length >= L} telescope over the levels to
+    lam (F(h_{L-1,1}) - F(h_{B,1})), with h_{0,1} = 1 and F(1) = K, less
+    pullpush's pulls out of level L, r (1 - h_{1,1}) h_{L,1}, when L >= 2;
+    the completions at length exactly L leave it.  Broadcasts over leading
+    batch axes of ``h`` like ``lyapunov_values``.
     """
     arr = _as_h(h, batch=True)
     if not 1 <= L <= arr.shape[-2]:
         raise ValueError(f"need 1 <= L <= B, got L={L}")
+    terms = model._terms
+    top = terms.lam_K if L == 1 else _poly(arr[..., L - 2, 0], terms.overflow)
+    arrivals = top - _poly(arr[..., -1, 0], terms.overflow)
+    if terms.pull and L >= 2:
+        arrivals = arrivals - terms.pull * (1.0 - arr[..., 0, 0]) * arr[..., L - 1, 0]
     nu = np.asarray(model.service.completion_rates)
     d_phase = _phase_diffs(arr)
-    f = arrival_drift(model, arr)
-    dz1 = f[..., L - 1 :, 0].sum(axis=-1) - _dots(d_phase[..., L - 1, :], nu)
+    dz1 = arrivals - _dots(d_phase[..., L - 1, :], nu)
     dz2 = -arr[..., 0, 0] + _dots(d_phase[..., 0, :], nu)
     return dz1, dz2
 
 
-#: largest accepted gap between a Lyapunov rate and its finite difference
-LYAPUNOV_FD_TOL = 1e-6
+#: largest accepted gap between a closed-form Lyapunov rate and the
+#: functionals of the drift
+LYAPUNOV_RATE_TOL = 1e-6
 
 #: sampled times per flow at which ``lyapunov_report`` checks the rates
 LYAPUNOV_SAMPLES = 10
@@ -851,10 +849,10 @@ LYAPUNOV_SAMPLES = 10
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    """Per start: worst rate dz1 + dz2, worst finite-difference gap, pass."""
+    """Per start: worst rate dz1 + dz2, worst gap to the drift's rate, pass."""
 
     max_rates: np.ndarray
-    max_fd_gaps: np.ndarray
+    max_rate_gaps: np.ndarray
     passed: np.ndarray
     fixed_point: FixedPointResult
     ok: bool
@@ -866,29 +864,25 @@ def lyapunov_report(
     """Check that the Lyapunov functionals decrease along flows above pi.
 
     Each of the (M, B, n) ``starts`` is lifted to its upper envelope with
-    pi, and the stack is integrated to T, as ``verify lyapunov`` does.  From
-    each of the LYAPUNOV_SAMPLES + 1 samples h the same flow runs on to
-    2 delta, delta = min(5e-4, step_bound / 4): the rate dz1 + dz2 (L = 1)
-    at t = delta is compared with the central difference of z1 + z2
-    between h and t = 2 delta.  A start passes when its worst rate is at
-    most ``tol`` and its worst gap at most LYAPUNOV_FD_TOL.
+    pi, and the stack is integrated to T, as ``verify lyapunov`` does.  At
+    each of the LYAPUNOV_SAMPLES + 1 samples h the closed-form rate
+    dz1 + dz2 (L = 1) is compared with z1 + z2 of the drift at h, which is
+    the exact rate along the flow, as both functionals are linear in h.  A
+    start passes when its worst rate is at most ``tol`` and its worst gap
+    at most LYAPUNOV_RATE_TOL.
     """
     starts, fp = _starts_and_fixed_point(model, starts)
-    delta = min(5e-4, step_bound(model) / 4)
     rates, gaps = [], []
-    # the look-ahead from every sampled state is the largest stack a chunk
-    # integrates
-    for part in _chunks(len(starts), starts[0].size, LYAPUNOV_SAMPLES + 1, 2):
+    for part in _chunks(len(starts), starts[0].size, 1, LYAPUNOV_SAMPLES):
         top = upper_envelope(starts[part], fp.pi)
         states = integrate(model, top, T, samples=LYAPUNOV_SAMPLES).states
-        _, mid, fwd = integrate(model, states, 2 * delta, samples=2).states
-        rate = np.add(*lyapunov_rates(model, mid))
-        z = [np.add(*lyapunov_values(h, model.service)) for h in (states, fwd)]
-        fd = (z[1] - z[0]) / (2 * delta)
+        rate = np.add(*lyapunov_rates(model, states))
+        exact = np.add(*lyapunov_values(drift(model, states), model.service))
         rates.append(rate.max(axis=0))
-        gaps.append(np.abs(fd - rate).max(axis=0))
+        gaps.append(np.abs(exact - rate).max(axis=0))
+        del states  # so that the next chunk integrates without these samples
     max_rates, gaps = np.concatenate(rates), np.concatenate(gaps)
-    passed = (max_rates <= tol) & (gaps <= LYAPUNOV_FD_TOL)
+    passed = (max_rates <= tol) & (gaps <= LYAPUNOV_RATE_TOL)
     return LyapunovReport(max_rates, gaps, passed, fp, bool(passed.all()))
 
 

@@ -360,6 +360,23 @@ def test_unread_options_are_rejected(tmp_path, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "MODEL", "--t", "1", "--sam", "2", "--out", "OUT"],
+    ["integrate", "MODEL", "--t-final", "1", "--ou", "OUT"],
+    ["verify", "attract", "--model", "MODEL", "--cou", "1", "--out", "OUT"],
+    ["--vers"],
+], ids=" ".join)
+def test_abbreviated_options_are_rejected(tmp_path, argv):
+    # a prefix of an option's name is not the option, even where it names
+    # one option only
+    src = model_file(tmp_path)
+    argv = [{"MODEL": src, "OUT": str(tmp_path)}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def _options(parser):
     return {option for action in parser._actions
             for option in action.option_strings} - {"-h", "--help"}
@@ -676,8 +693,16 @@ def test_verify_lyapunov(tmp_path):
     out = load(tmp_path, "verify_lyapunov.json")
     assert out["suite"] == "lyapunov" and out["pass"] is True
     assert len(out["cases"]) == 3
-    assert all(c["ok"] and c["max_rate"] <= 1e-9 and c["max_fd_gap"] <= 1e-6
+    assert all(c["ok"] and c["max_rate"] <= 1e-9 and c["max_rate_gap"] <= 1e-6
                for c in out["cases"])
+
+
+def test_verify_lyapunov_rate_gaps_on_readme_model(tmp_path):
+    # the closed-form rates meet the functionals of the drift to rounding
+    src = model_file(tmp_path, **{"lambda": 0.9, "B": 25})
+    assert main(["verify", "lyapunov", "--model", src, "--out", str(tmp_path)]) == 0
+    cases = load(tmp_path, "verify_lyapunov.json")["cases"]
+    assert len(cases) == 5 and all(c["max_rate_gap"] <= 1e-12 for c in cases)
 
 
 def test_verify_monotone_matches_per_pair_reports(tmp_path):

@@ -7,6 +7,7 @@ by Richardson order estimates, the fixed point by its defining property
 plus closed-form anchors.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -140,11 +141,13 @@ def test_drift_matches_naive_loops_more_phases(rng):
 
 
 def test_first_phase_drift_sums_telescope(rng, balanced_service):
-    from coxfield.mfode import arrival_drift
-
+    # over the levels the service part of column 1 sums to minus the
+    # completions at level 1, nu . (h_{1,j} - h_{1,j+1}), and the arrivals
+    # telescope to the closed forms
+    nu = np.asarray(balanced_service.completion_rates)
     for model in models_for(balanced_service, B=7):
         h = cf.random_state(7, 2, rng).h
-        f = arrival_drift(model, h)
+        arrivals = drift(model, h)[:, 0].sum() + nu @ (h[0] - np.append(h[0, 1:], 0.0))
         hB = h[-1, 0]
         if model.kind == "jsq":
             want = model.lam * (1 - hB**model.d)
@@ -152,7 +155,7 @@ def test_first_phase_drift_sums_telescope(rng, balanced_service):
             want = model.lam * (1 - hB)
         else:
             want = model.lam * (model.K - naive_phi(hB, model.K, model.d))
-        assert f[:, 0].sum() == pytest.approx(want, abs=1e-13)
+        assert arrivals == pytest.approx(want, abs=1e-13)
 
 
 def test_jsq_and_local_arrivals_are_single_job_batches(rng):
@@ -476,6 +479,16 @@ def test_integration_from_fixed_point_takes_few_steps(balanced_service):
     assert traj.stats.accepted_steps + traj.stats.rejected_steps <= 8
 
 
+@pytest.mark.parametrize("T", [1e-200, 1e-300])
+def test_integrate_tiny_horizon(T, balanced_service):
+    # on so short a step both error estimates square to 0; the norm is 0
+    # there, not 0 / 0, so the step is taken
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=25, d=2)
+    for start in (cf.zero_state(25, 2), cf.full_state(25, 2)):
+        traj = cf.integrate(model, start, T, samples=1)
+        assert np.abs(traj.final - start.h).max() <= 1e-199
+
+
 def test_integrate_fails_loudly_when_no_step_stays_valid(balanced_service, monkeypatch):
     # with every trial result reported outside the state space the step
     # shrinks to its floor and the integration fails instead of clipping;
@@ -738,33 +751,52 @@ def test_lyapunov_report_matches_per_state_check(balanced_service):
     report = cf.lyapunov_report(model, starts, T=3.0)
     assert report.ok and report.passed.all()
     pi = report.fixed_point.pi
-    delta = min(5e-4, cf.step_bound(model) / 4)
-    lookahead = (0.0, delta, 2 * delta)
-
-    def worst(state_samples, ahead):
-        # worst rate at mid and worst gap to the central difference
-        rates, gaps = [], []
-        for state in state_samples:
-            _, mid, fwd = ahead(state)
-            rate = sum(cf.lyapunov_rates(model, mid))
-            fd = (sum(cf.lyapunov_values(fwd, balanced_service))
-                  - sum(cf.lyapunov_values(state, balanced_service))) / (2 * delta)
-            rates.append(rate)
-            gaps.append(abs(fd - rate))
-        return max(rates), max(gaps)
-
     for k, start in enumerate(starts):
         h0 = cf.upper_envelope(start, pi)
-        traj = cf.integrate(model, h0, 3.0, samples=LYAPUNOV_SAMPLES)
-        rate, gap = worst(traj.states,
-                          lambda h: cf.integrate(model, h, 2 * delta, samples=2).states)
-        assert report.max_rates[k] == rate <= 1e-9
-        assert report.max_fd_gaps[k] == gap <= 1e-6
-        # the look-ahead of the flow agrees with two RK4 steps of delta
-        rate, gap = worst(traj.states,
-                          lambda h: rk4_reference(model, h, lookahead, delta))
-        assert abs(report.max_rates[k] - rate) <= 1e-12
-        assert abs(report.max_fd_gaps[k] - gap) <= 1e-12
+        states = cf.integrate(model, h0, 3.0, samples=LYAPUNOV_SAMPLES).states
+        # both functionals are linear, so their rate is their value at the drift
+        rates = [sum(cf.lyapunov_rates(model, h)) for h in states]
+        exact = [sum(cf.lyapunov_values(drift(model, h), balanced_service))
+                 for h in states]
+        assert report.max_rates[k] == max(rates) <= 1e-9
+        gap = max(abs(a - b) for a, b in zip(exact, rates))
+        assert report.max_rate_gaps[k] == gap <= 1e-12
+
+
+@pytest.mark.parametrize("offset", [1e-3, -1e-3])
+def test_lyapunov_report_fails_on_offset_rates(offset, balanced_service, monkeypatch):
+    # a closed form off by 1e-3 fails the gap check, also where it still
+    # says the functionals decrease
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=6, d=2)
+    starts = np.stack([cf.random_state(6, 2, np.random.default_rng(5)).h
+                       for _ in range(3)])
+    rates = cf.lyapunov_rates
+
+    def offset_rates(model, h, L=1):
+        dz1, dz2 = rates(model, h, L)
+        return dz1 + offset, dz2
+
+    monkeypatch.setattr(mfode, "lyapunov_rates", offset_rates)
+    report = cf.lyapunov_report(model, starts, T=3.0)
+    assert not report.ok and not report.passed.any()
+    assert np.abs(report.max_rate_gaps - 1e-3).max() <= 1e-12
+    assert (report.max_rates <= 1e-9).all()
+
+
+def test_lyapunov_rates_are_the_functionals_of_the_drift(rng):
+    # z1 and z2 are linear in h, so their rates are their values at f(h):
+    # the closed forms share neither the drift's slope quadrature nor its
+    # service operator, and agree with it to rounding for every L
+    service = cf.random_coxian_decreasing(
+        np.random.default_rng(2), max_phases=4, max_unit_rate=30.0
+    )
+    for model in models_for(service, B=7):
+        states = np.stack([cf.random_state(7, service.n, rng).h for _ in range(200)])
+        f = drift(model, states)
+        for L in range(1, 8):
+            got = np.stack(cf.lyapunov_rates(model, states, L=L))
+            want = np.stack(cf.lyapunov_values(f, service, L=L))
+            assert np.abs(got - want).max() <= 1e-14, (model.kind, L)
 
 
 def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
@@ -812,5 +844,74 @@ def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
     for field in ("times", "pair_margins", "pair_violation_times"):
         assert getattr(mono, field).tobytes() == getattr(mono_chunked, field).tobytes()
     assert lyap.ok
-    for field in ("max_rates", "max_fd_gaps", "passed"):
+    for field in ("max_rates", "max_rate_gaps", "passed"):
         assert getattr(lyap, field).tobytes() == getattr(lyap_chunked, field).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: SHA-256 digests of exact bytes, so that a rewrite of the
+# drift, the integrator or the solver keeps every float operation
+
+
+def test_golden_drift_bytes(balanced_service):
+    """Drift on seeded stacks of each policy: one state, M = 1, M = 40 and
+    the same 40 in Fortran order, with two- and three-phase services."""
+    h = hashlib.sha256()
+    three = cf.random_coxian_decreasing(np.random.default_rng(2), max_phases=3)
+    for policy in sorted(POLICY_SPECS):
+        for service in (balanced_service, three):
+            model = cf.PolicyModel(service=service, B=9, **POLICY_SPECS[policy])
+            rng = np.random.default_rng(15)
+            states = np.stack([cf.random_state(9, service.n, rng).h for _ in range(40)])
+            for stack in (states[0], states[:1], states, np.asfortranarray(states)):
+                h.update(drift(model, stack).tobytes())
+    assert h.hexdigest() == (
+        "a0bf6577c3fa96098312471cd53645c40fb9b0976c150784d85b353b4ef08414"
+    )
+
+
+def test_golden_meanfield_trajectory(balanced_service):
+    """The meanfield benchmark's transient: jsq, lam = 0.9, B = 25, from empty."""
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=25, d=2)
+    traj = cf.integrate(model, cf.zero_state(25, 2), 100.0, samples=50)
+    s = traj.stats
+    h = hashlib.sha256(traj.times.tobytes())
+    h.update(traj.states.tobytes())
+    h.update(repr((s.accepted_steps, s.rejected_steps, s.invalid_steps,
+                   s.drift_calls, s.min_margin)).encode())
+    assert (s.accepted_steps, s.drift_calls) == (171, 2197)
+    assert h.hexdigest() == (
+        "489d5e22a43fbdb54e1439874794508e683e3891177c82b4a432d3416f89fbee"
+    )
+
+
+#: the benchmark's four models: (spec, exponential service, digest of pi
+#: bytes, newton_steps and history)
+GOLDEN_FIXED_POINTS = {
+    "jsq-0.9": (
+        dict(kind="jsq", lam=0.9, B=25, d=2), False,
+        "27b4c6612d2c442de17295c096c189ca725c36f7a4bfcef2be1bca6f2dd4aaa8",
+    ),
+    "pullpush-0.5": (
+        dict(kind="pullpush", lam=0.5, B=25, r=1.0), False,
+        "ae12fe10664ce14b5cbd0dbf6c2619889005a5fd00070dc3833f6216bbd494b1",
+    ),
+    "batchjsq-0.3": (
+        dict(kind="batchjsq", lam=0.3, B=25, d=3, K=2), False,
+        "01bebff54c0b6aac9c22b80ffbb815c1837a2b144400027524bc471db425ffef",
+    ),
+    "jsq-exp-auto": (
+        dict(kind="jsq", lam=0.9, B=None, d=2), True,
+        "f7138ad5a550c2dba758a5e211306521e1d2b4c049c4f065e04c7f540a46cc6a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FIXED_POINTS))
+def test_golden_fixed_point(name, balanced_service):
+    spec, exponential, digest = GOLDEN_FIXED_POINTS[name]
+    service = cf.CoxianDistribution((1.0,), (0.0,)) if exponential else balanced_service
+    fp = cf.fixed_point(cf.PolicyModel(service=service, **spec))
+    h = hashlib.sha256(fp.pi.h.tobytes())
+    h.update(repr((fp.newton_steps, fp.history)).encode())
+    assert h.hexdigest() == digest
