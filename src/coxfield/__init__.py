@@ -25,27 +25,21 @@ from .dist import (
     hazard,
     hyperexp_to_coxian,
     moments,
-    normalize_to_unit_mean,
     normalized_moments,
     pdf,
-    random_coxian_decreasing,
-    random_hyperexp,
     raw_moments,
     remaining_service_times,
 )
 from .order import (
     LeqReport,
     MeanFieldState,
-    OccupancyState,
     StateSpaceReport,
-    from_occupancy,
     full_state,
     leq,
     leq_report,
     level_phase_mass,
     random_state,
     state_space_report,
-    to_occupancy,
     upper_envelope,
     zero_state,
 )

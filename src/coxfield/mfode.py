@@ -66,7 +66,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .dist import (
     CoxianDistribution,
@@ -392,7 +391,8 @@ _INVALID_SHRINK = 0.25
 _STEP_FLOOR = 1e-12
 
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-# II.10), with the coefficients scipy ships: stage i + 2 takes the drift at
+# II.10), with the coefficients of Hairer's dop853 rounded to doubles, the
+# same bits as scipy's DOP853 uses: stage i + 2 takes the drift at
 # y + h sum_j _DOP_A[i][j] k_j, _DOP_B weighs the 12 stages into the
 # eighth-order result, whose drift is the next step's first stage (FSAL),
 # and _DOP_E5 and _DOP_E3 weigh them into the fifth- and third-order local
@@ -412,12 +412,41 @@ def _stage_weights(w) -> np.ndarray:
     return buf[:, 0]
 
 
-_DOP_A = tuple(
-    _stage_weights(row[:i]) for i, row in enumerate(_dop853.A[1 : _dop853.N_STAGES], 1)
-)
-_DOP_B = _stage_weights(_dop853.B)
-_DOP_E5 = _stage_weights(_dop853.E5)
-_DOP_E3 = _stage_weights(_dop853.E3)
+_DOP_A = tuple(_stage_weights(row) for row in (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+))
+_DOP_B = _stage_weights((
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259,
+))
+_DOP_E5 = _stage_weights((
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0.0,
+))
+_DOP_E3 = _stage_weights((
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0.0,
+))
 
 
 def _stage_sum(w: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -524,13 +553,14 @@ def integrate(
 ) -> Trajectory:
     """Integrate the mean-field ODE, sampled at ``samples`` + 1 even times.
 
-    The sample times include both endpoints; ``T`` must be finite and
-    nonnegative, with ``T * model.rate_bound`` at most MAX_HORIZON, and
-    ``samples`` at least 1.  The flow is integrated by the error-controlled
-    Dormand-Prince 8(5,3) method DOP853 (RTOL = ATOL = 1e-11) with
-    one step size per start: a trial step whose error norm exceeds 1 or
-    whose result leaves the state space (tolerance 1e-8) is repeated with
-    a smaller step, so every accepted state is valid and none is clipped.
+    The sample times include both endpoints and, for T > 0, strictly
+    increase; ``T`` must be finite and nonnegative, with ``T *
+    model.rate_bound`` at most MAX_HORIZON, and ``samples`` at least 1.
+    The flow is integrated by the error-controlled Dormand-Prince 8(5,3)
+    method DOP853 (RTOL = ATOL = 1e-11) with one step size per start: a
+    trial step whose error norm exceeds 1 or whose result leaves the state
+    space (tolerance 1e-8) is repeated with a smaller step, so every
+    accepted state is valid and none is clipped.
     ``h0`` may carry leading batch axes to integrate many trajectories at
     once; each start's numbers are those it gets alone.  Raises
     IntegrationError when a start is outside the state space at 1e-8
@@ -561,6 +591,8 @@ def integrate(
         times, out, counts = np.zeros(1), stack[None], (0, 0, 0, 0, margin)
     else:
         times = np.linspace(0.0, T, int(samples) + 1)
+        if not (np.diff(times) > 0).all():
+            raise ValueError(f"horizon {T!r} has no {samples} distinct sample times")
         out, counts = _integrate_adaptive(model, stack, times, margin)
     stats = IntegrationStats(*counts, wall_s=time.perf_counter() - started)
     return Trajectory(times, out.reshape((len(times),) + h.shape), stats)
@@ -928,18 +960,19 @@ def monotonicity_report(
     margins, first = [], []
     for part in _chunks(len(a), a[0].size, 2, samples):
         traj = integrate(model, np.stack([a[part], b[part]]), T, samples=samples)
-        lo_t, hi_t = traj.states[:, 0], traj.states[:, 1]
+        times, lo_t, hi_t = traj.times, traj.states[:, 0], traj.states[:, 1]
         ordered, _, dp_min = _leq_arrays(lo_t, hi_t, tol)
         gap = np.minimum((hi_t - lo_t).min(axis=(-2, -1)), dp_min)
         margins.append(gap.min(axis=0))
         bad = ~ordered
-        first.append(np.where(bad.any(axis=0), traj.times[bad.argmax(axis=0)], np.nan))
+        first.append(np.where(bad.any(axis=0), times[bad.argmax(axis=0)], np.nan))
+        del traj, lo_t, hi_t  # so that the next chunk integrates without these samples
     margins, first = np.concatenate(margins), np.concatenate(first)
     ok = bool(np.isnan(first).all())
     when = None if ok else float(np.nanmin(first))
     pair = None if ok else int(np.flatnonzero(first == when)[0])
     return OrderPreservationReport(
-        ok, traj.times, when, pair, float(margins.min()),
+        ok, times, when, pair, float(margins.min()),
         margins.reshape(pairs), first.reshape(pairs),
     )
 

@@ -53,30 +53,6 @@ class MeanFieldState:
         return self.h.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class OccupancyState:
-    """Fractions of servers per exact (queue length, phase) cell.
-
-    ``idle`` is the fraction with empty queues; ``x[l-1, i-1]`` the
-    fraction with length exactly l and phase exactly i.  Entries are
-    nonnegative and total exactly one.
-    """
-
-    idle: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.array(self.x, dtype=float, copy=True)
-        if x.ndim != 2:
-            raise ValueError(f"occupancy must be a (B, n) array, got {x.shape}")
-        if self.idle < 0 or (x < 0).any():
-            raise ValueError("occupancy fractions must be nonnegative")
-        total = self.idle + float(x.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"occupancy must total 1, got {total!r}")
-        object.__setattr__(self, "x", x)
-
-
 @dataclass(frozen=True)
 class StateSpaceReport:
     ok: bool
@@ -176,39 +152,15 @@ def state_space_report(state: StateLike, tol: float = OMEGA_TOL) -> StateSpaceRe
     return StateSpaceReport(False, violations)
 
 
-def to_occupancy(state: StateLike, tol: float = OMEGA_TOL) -> OccupancyState:
-    """Invert the tail sums into per-cell occupancy fractions.
-
-    Raises
-    ------
-    ValueError
-        If the state violates a defining inequality beyond ``tol``; the
-        message lists the violated constraints.
-    """
-    report = state_space_report(state, tol)
-    if not report.ok:
-        shown = ", ".join(report.violations[:8])
-        raise ValueError(f"state outside the valid polytope: {shown}")
-    h = _as_h(state)
-    x = np.maximum(_cell_diffs(_phase_diffs(h)), 0.0)
-    idle = max(1.0 - float(h[0, 0]), 0.0)
-    return OccupancyState(idle, x)
-
-
-def from_occupancy(occ: OccupancyState) -> MeanFieldState:
-    """Rebuild tail fractions as double tail-sums of the occupancy.
-
-    The construction yields a valid state by design: tail sums of
-    nonnegative cells satisfy every defining inequality.
-    """
-    return MeanFieldState(_tail_sums(occ.x))
-
-
 def random_state(B: int, n: int, rng: np.random.Generator) -> MeanFieldState:
-    """Random valid state: normalized exponential variates per cell."""
+    """Random valid state: tail sums of normalized exponential variates.
+
+    There is one variate per (level, phase) cell and one for the idle
+    fraction, which the sums leave out.
+    """
     raw = rng.exponential(size=B * n + 1)
     raw /= raw.sum()
-    return from_occupancy(OccupancyState(float(raw[0]), raw[1:].reshape(B, n)))
+    return MeanFieldState(_tail_sums(raw[1:].reshape(B, n)))
 
 
 def level_phase_mass(state: StateLike, levels: Sequence[int]) -> float:

@@ -13,10 +13,12 @@ from fractions import Fraction
 import numpy as np
 
 import coxfield as cf
+from coxfield.cli import _leq_enumerate
 from coxfield.dist import SURVIVAL_FLOOR, _phase_grid_many
 from coxfield.mfode import drift
 from coxfield.order import _as_h
 
+from samplers import random_coxian_decreasing, random_hyperexp
 import test_dist
 import test_order
 
@@ -89,7 +91,7 @@ def test_ac01_conversion_fidelity(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260814)
     grid = np.linspace(0.1, 5.0, 50)
-    hypers = [cf.random_hyperexp(rng) for _ in range(10_000)]
+    hypers = [random_hyperexp(rng) for _ in range(10_000)]
     coxes = [cf.hyperexp_to_coxian(h) for h in hypers]
     margin = min(cf.has_decreasing_completion_rates(c).margin for c in coxes)
     # both representations through one evaluator, in lockstep, so the
@@ -123,9 +125,9 @@ def test_ac03_rate_sum_identity_and_increasing_remainder(capsys):
     dev = 0.0
     done = 0
     while done < 1000:
-        # generic rate tuples from the package sampler; adversarially close
+        # generic rate tuples from the test sampler; adversarially close
         # rates degrade the conditioning of the identity itself
-        rates = cf.random_hyperexp(rng).rates
+        rates = random_hyperexp(rng).rates
         n = len(rates)
         if n < 2:
             continue
@@ -134,7 +136,7 @@ def test_ac03_rate_sum_identity_and_increasing_remainder(capsys):
         dev = max(dev, abs(test_dist.telescoping_rate_sum(k, l, rates) + 1.0))
         done += 1
     increasing = all(
-        np.all(np.diff(cf.remaining_service_times(cf.random_coxian_decreasing(rng))) > 0)
+        np.all(np.diff(cf.remaining_service_times(random_coxian_decreasing(rng))) > 0)
         for _ in range(10_000)
     )
     report(capsys, 3, dev <= 1e-10 and increasing,
@@ -147,7 +149,7 @@ def test_ac04_moment_region_and_fit(capsys):
     rng = np.random.default_rng(4)
     in_region = True
     for _ in range(1000):
-        nm = cf.normalized_moments(cf.random_coxian_decreasing(rng))
+        nm = cf.normalized_moments(random_coxian_decreasing(rng))
         in_region &= nm.n2 > 2 - 1e-9 and nm.n3 > 1.5 * nm.n2 - 1e-9
     worst = 0.0
     for _ in range(1000):
@@ -174,7 +176,7 @@ def test_ac04_moment_region_and_fit(capsys):
 def test_ac05_hazard_nonincreasing(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
-    dists = [cf.random_coxian_decreasing(rng) for _ in range(1000)]
+    dists = [random_coxian_decreasing(rng) for _ in range(1000)]
     grid = np.linspace(0.02, 6.0, 100)
     surv, dens = _phase_grid_many(dists, grid)
     alive = surv >= SURVIVAL_FLOOR
@@ -193,7 +195,7 @@ def test_ac06_order_decision_vs_enumeration(capsys):
         B, n = int(rng.integers(1, 7)), int(rng.integers(1, 5))
         lo, hi = test_order.random_pair(rng, B, n, case % 3)
         got = cf.leq(lo, hi)
-        agree += got == test_order.enum_leq(lo, hi)
+        agree += got == _leq_enumerate(lo, hi)
         ordered += got
     h = np.array([[1.0, 0.5], [0.5, 0.0]])
     ht = np.array([[1.0, 0.5], [0.5, 0.5]])

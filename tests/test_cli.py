@@ -260,6 +260,15 @@ def test_huge_horizons_exit_1(tmp_path):
         assert "horizon" in load(tmp_path, "manifest.json")["error"]
 
 
+def test_subnormal_horizon_exits_1(tmp_path):
+    # 5e-324 has no three distinct sample times; 1e-200 has
+    src = model_file(tmp_path)
+    args = ["integrate", src, "--samples", "3", "--out", str(tmp_path), "--t-final"]
+    assert main(args + ["5e-324"]) == 1
+    assert "distinct sample times" in load(tmp_path, "manifest.json")["error"]
+    assert main(args + ["1e-200"]) == 0
+
+
 def test_simulate_output(tmp_path):
     config = {
         "model": {"policy": "jsq", "lambda": 0.6, "d": 2, "B": 4, "service": HYPER},
@@ -409,9 +418,9 @@ def test_readme_names_every_option():
         assert set(re.findall(r"--[\w-]+", lines[0])) == _options(parser), name
 
 
-def test_import_loads_neither_cli_nor_scipy_stats():
-    code = ("import sys, coxfield; "
-            "print(sorted({'coxfield.cli', 'scipy.stats'} & set(sys.modules)))")
+def test_import_loads_no_cli_and_no_scipy_stats_integrate_or_optimize():
+    heavy = {"coxfield.cli", "scipy.stats", "scipy.integrate", "scipy.optimize"}
+    code = f"import sys, coxfield; print(sorted({heavy!r} & set(sys.modules)))"
     src = os.path.dirname(os.path.dirname(cf.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

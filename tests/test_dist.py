@@ -20,6 +20,8 @@ from scipy import linalg
 import coxfield as cf
 from coxfield.cli import SchemaError, distribution_from_dict, distribution_to_dict
 
+from samplers import normalize_to_unit_mean, random_coxian_decreasing, random_hyperexp
+
 
 def quad_moment(dist, k):
     """k-th moment as k * integral of t^(k-1) S(t), S from expm."""
@@ -125,7 +127,7 @@ def test_counterexample_weights_exact_fractions():
 
 def test_conversion_preserves_moments_and_lst(rng):
     for _ in range(25):
-        hyper = cf.random_hyperexp(rng, max_branches=4)
+        hyper = random_hyperexp(rng, max_branches=4)
         cox = cf.hyperexp_to_coxian(hyper)
         for k in (1, 2, 3):
             assert cf.moments(cox, k) == pytest.approx(
@@ -137,7 +139,7 @@ def test_conversion_preserves_moments_and_lst(rng):
 
 def test_conversion_is_strictly_in_class(rng):
     for _ in range(50):
-        hyper = cf.random_hyperexp(rng)
+        hyper = random_hyperexp(rng)
         check = cf.has_decreasing_completion_rates(cf.hyperexp_to_coxian(hyper))
         assert check.is_member and check.margin > 0
 
@@ -149,7 +151,7 @@ def test_conversion_rejects_duplicate_rates():
 
 def test_mixture_round_trip(rng):
     for _ in range(25):
-        hyper = cf.random_hyperexp(rng, max_branches=5)
+        hyper = random_hyperexp(rng, max_branches=5)
         mix = cf.coxian_to_mixture(cf.hyperexp_to_coxian(hyper))
         assert mix.is_hyperexponential
         got = dict(zip(mix.rates, mix.weights))
@@ -159,8 +161,8 @@ def test_mixture_round_trip(rng):
 
 def test_moments_match_quadrature(rng):
     for _ in range(5):
-        hyper = cf.random_hyperexp(rng, max_branches=3, rate_range=(0.2, 5.0))
-        cox = cf.random_coxian_decreasing(rng, max_phases=3)
+        hyper = random_hyperexp(rng, max_branches=3, rate_range=(0.2, 5.0))
+        cox = random_coxian_decreasing(rng, max_phases=3)
         for dist in (hyper, cox):
             for k in (1, 2):
                 assert cf.moments(dist, k) == pytest.approx(
@@ -220,7 +222,7 @@ def test_membership_boundary_and_rejection():
 
 def test_remaining_times_increase(rng):
     for _ in range(200):
-        cox = cf.random_coxian_decreasing(rng)
+        cox = random_coxian_decreasing(rng)
         rem = cf.remaining_service_times(cox)
         assert np.all(np.diff(rem) > 0) or len(rem) == 1
 
@@ -248,7 +250,7 @@ def telescoping_rate_sum(k, l, rates):
 def test_telescoping_rate_sum_identity(rng):
     assert telescoping_rate_sum(1, 3, (1.0, 2.0, 0.1)) == pytest.approx(-1.0)
     for _ in range(100):
-        k = len(cf.random_hyperexp(rng).rates)
+        k = len(random_hyperexp(rng).rates)
         if k < 2:
             continue
         rates = np.sort(rng.uniform(0.1, 9.0, size=k))
@@ -267,7 +269,7 @@ def test_hazard_constant_for_exponential():
 def test_hazard_nonincreasing_for_class_members(rng):
     ts = np.linspace(0.05, 5.0, 60)
     for _ in range(20):
-        cox = cf.random_coxian_decreasing(rng, max_phases=4)
+        cox = random_coxian_decreasing(rng, max_phases=4)
         hz = cf.hazard(cox, ts)
         good = np.isfinite(hz)
         assert np.all(np.diff(hz[good]) <= 1e-9)
@@ -301,7 +303,7 @@ def test_fit_exponential_point():
 
 def test_fit_round_trip(rng):
     for _ in range(100):
-        hyper = cf.random_hyperexp(rng, max_branches=2)
+        hyper = random_hyperexp(rng, max_branches=2)
         if hyper.k != 2:
             continue
         tri = cf.normalized_moments(hyper)
@@ -335,7 +337,7 @@ def test_fit_rejects_outside_region():
 
 def test_sampled_members_lie_in_moment_region(rng):
     for _ in range(200):
-        cox = cf.random_coxian_decreasing(rng)
+        cox = random_coxian_decreasing(rng)
         tri = cf.normalized_moments(cox)
         at_expo = abs(tri.n2 - 2.0) < 1e-7 and abs(tri.n3 - 3.0) < 1e-7
         assert at_expo or (tri.n2 > 2 - 1e-9 and tri.n3 > 1.5 * tri.n2 - 1e-9)
@@ -360,8 +362,8 @@ def test_fit_round_trip_hypothesis(w, lo, hi):
 
 
 def test_normalize_to_unit_mean(rng):
-    cox = cf.random_coxian_decreasing(rng, unit_mean=False)
-    unit = cf.normalize_to_unit_mean(cox)
+    cox = random_coxian_decreasing(rng, unit_mean=False)
+    unit = normalize_to_unit_mean(cox)
     assert cf.moments(unit, 1) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -382,11 +384,11 @@ def test_dict_schema_errors():
 
 
 def test_sampler_determinism():
-    a = cf.random_hyperexp(np.random.default_rng(5))
-    b = cf.random_hyperexp(np.random.default_rng(5))
+    a = random_hyperexp(np.random.default_rng(5))
+    b = random_hyperexp(np.random.default_rng(5))
     assert a == b
-    c = cf.random_coxian_decreasing(np.random.default_rng(6))
-    d = cf.random_coxian_decreasing(np.random.default_rng(6))
+    c = random_coxian_decreasing(np.random.default_rng(6))
+    d = random_coxian_decreasing(np.random.default_rng(6))
     assert c == d
 
 
@@ -453,7 +455,7 @@ def test_golden_conversion_class_and_moments():
     rng = np.random.default_rng(1010)
     records, dists = [], []
     for _ in range(300):
-        hyper = cf.random_hyperexp(rng)
+        hyper = random_hyperexp(rng)
         cox = cf.hyperexp_to_coxian(hyper)
         records.append((cox.rates, cox.continuations))
         dists += [hyper, cox]
@@ -463,7 +465,7 @@ def test_golden_conversion_class_and_moments():
         conts[-1] = 0.0
         rates = np.exp(rng.uniform(-3.0, 3.0, size=n))
         dists.append(cf.CoxianDistribution(tuple(rates), tuple(conts)))
-    dists += [cf.random_coxian_decreasing(rng) for _ in range(100)]
+    dists += [random_coxian_decreasing(rng) for _ in range(100)]
     dists += [  # a tie, a tie within BOUNDARY_TOL, and one beyond it
         cf.CoxianDistribution((1.0, 0.5), (0.5, 0.0)),
         cf.CoxianDistribution((1.0, 0.5 + 5e-13), (0.5, 0.0)),

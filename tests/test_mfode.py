@@ -9,6 +9,7 @@ plus closed-form anchors.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from coxfield.mfode import (
 )
 from coxfield.order import _as_h, _margins
 
+from samplers import random_coxian_decreasing
 from test_acceptance import mcox1_tail, rk4_reference
 
 
@@ -131,7 +133,7 @@ def test_drift_matches_naive_loops(rng, balanced_service):
 
 
 def test_drift_matches_naive_loops_more_phases(rng):
-    service = cf.random_coxian_decreasing(
+    service = random_coxian_decreasing(
         np.random.default_rng(2), max_phases=4, max_unit_rate=30.0
     )
     for model in models_for(service, B=5):
@@ -159,7 +161,7 @@ def test_first_phase_drift_sums_telescope(rng, balanced_service):
 
 
 def test_jsq_and_local_arrivals_are_single_job_batches(rng):
-    service = cf.random_coxian_decreasing(np.random.default_rng(2), max_phases=3)
+    service = random_coxian_decreasing(np.random.default_rng(2), max_phases=3)
     states = np.stack([cf.random_state(6, service.n, rng).h for _ in range(4)])
     for d in (1, 2, 3, 5):
         jsq = cf.PolicyModel(kind="jsq", lam=0.6, service=service, B=6, d=d)
@@ -316,15 +318,13 @@ def test_integrate_rejects_invalid_stack_member(balanced_service, rng):
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf])
 def test_non_finite_state_is_invalid(balanced_service, entry):
-    # a NaN used to pass every check: the report said ok, to_occupancy gave
-    # NaN cells with idle 1.0, and integrate failed only once its step shrank
+    # a NaN used to pass every check: the report said ok, and integrate
+    # failed only once its step shrank
     h = cf.random_state(4, 2, np.random.default_rng(0)).h
     h[1, 0] = entry
     report = cf.state_space_report(h)
     assert not report.ok and report.violations[0] == "non-finite at (2, 1)"
     assert not cf.state_space_report(h, tol=1.0).ok
-    with pytest.raises(ValueError, match="non-finite at \\(2, 1\\)"):
-        cf.to_occupancy(h)
     model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=4, d=2)
     with pytest.raises(cf.IntegrationError, match="start 1 .*non-finite at \\(2, 1\\)"):
         cf.integrate(model, np.stack([np.zeros((4, 2)), h]), 1.0, samples=1)
@@ -341,6 +341,10 @@ def test_integrate_rejects_bad_horizon_and_samples(balanced_service):
     for samples in (0, -2):
         with pytest.raises(ValueError, match="at least one sample"):
             cf.integrate(model, np.zeros((4, 2)), 1.0, samples=samples)
+    # linspace(0, 5e-324, 4) is (0, 0, 5e-324, 5e-324)
+    with pytest.raises(ValueError, match="no 3 distinct sample times"):
+        cf.integrate(model, np.zeros((4, 2)), 5e-324, samples=3)
+    assert cf.integrate(model, np.zeros((4, 2)), 5e-324, samples=1).times[1] > 0
 
 
 def test_trajectory_derivative_matches_drift(balanced_service, rng):
@@ -414,6 +418,18 @@ def test_dop853_tableau_order_conditions():
         assert abs(math.fsum(e)) <= 1e-14
 
 
+def test_dop853_tableau_is_scipys_bit_for_bit():
+    # the literals are scipy's doubles, so the flow keeps its bytes
+    dop = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    rows = dop.A[1 : dop.N_STAGES]
+    assert len(mfode._DOP_A) == len(rows)
+    assert all(np.array_equal(mine, row[:i])
+               for i, (mine, row) in enumerate(zip(mfode._DOP_A, rows), 1))
+    for mine, theirs in ((mfode._DOP_B, dop.B), (mfode._DOP_E5, dop.E5),
+                         (mfode._DOP_E3, dop.E3)):
+        assert np.array_equal(mine, theirs)
+
+
 POLICY_SPECS = {
     "jsq": dict(kind="jsq", lam=0.9, d=2),
     "pullpush": dict(kind="pullpush", lam=0.5, r=1.0),
@@ -451,7 +467,7 @@ def test_one_float_state_matches_its_stack():
 
 @pytest.mark.parametrize("policy", sorted(POLICY_SPECS))
 def test_drift_of_stack_member_matches_its_solo_drift(policy):
-    service = cf.random_coxian_decreasing(np.random.default_rng(2), max_phases=3)
+    service = random_coxian_decreasing(np.random.default_rng(2), max_phases=3)
     model = cf.PolicyModel(service=service, B=9, **POLICY_SPECS[policy])
     rng = np.random.default_rng(8)
     states = np.stack([cf.random_state(9, service.n, rng).h for _ in range(50)])
@@ -612,7 +628,7 @@ def test_structure_residual(balanced_service, rng):
 
 def test_phase_split_weights_sum_to_mean(rng):
     # beta_j = (prod_{s<j} p_s)/mu_j sums to the mean: 1 after normalizing
-    cox = cf.random_coxian_decreasing(rng)
+    cox = random_coxian_decreasing(rng)
     p = np.asarray(cox.continuations)
     beta = np.concatenate([[1.0], np.cumprod(p[:-1])]) / np.asarray(cox.rates)
     assert beta.sum() == pytest.approx(cf.moments(cox, 1), rel=1e-12)
@@ -787,7 +803,7 @@ def test_lyapunov_rates_are_the_functionals_of_the_drift(rng):
     # z1 and z2 are linear in h, so their rates are their values at f(h):
     # the closed forms share neither the drift's slope quadrature nor its
     # service operator, and agree with it to rounding for every L
-    service = cf.random_coxian_decreasing(
+    service = random_coxian_decreasing(
         np.random.default_rng(2), max_phases=4, max_unit_rate=30.0
     )
     for model in models_for(service, B=7):
@@ -848,6 +864,28 @@ def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
         assert getattr(lyap, field).tobytes() == getattr(lyap_chunked, field).tobytes()
 
 
+def test_monotonicity_chunks_do_not_hold_each_other(balanced_service, monkeypatch):
+    # a chunk's samples are dropped before the next chunk integrates, so
+    # three chunks peak no higher than one
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=25, d=2)
+    pair_floats = 2 * (51 + mfode._WORK_STATES) * 25 * 2
+    monkeypatch.setattr(mfode, "STACK_FLOATS", 30 * pair_floats)
+    rng = np.random.default_rng(16)
+    hi = np.stack([cf.random_state(25, 2, rng).h for _ in range(90)])
+    lo = 0.5 * hi
+    cf.monotonicity_report(model, lo[:1], hi[:1], 0.5)  # compiles the drift
+    peaks = []
+    for pairs in (30, 90):
+        tracemalloc.start()
+        try:
+            cf.monotonicity_report(model, lo[:pairs], hi[:pairs], 0.5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(mfode._chunks(90, 25 * 2, 2, 50)) == 3
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
 # ---------------------------------------------------------------------------
 # golden outputs: SHA-256 digests of exact bytes, so that a rewrite of the
 # drift, the integrator or the solver keeps every float operation
@@ -857,7 +895,7 @@ def test_golden_drift_bytes(balanced_service):
     """Drift on seeded stacks of each policy: one state, M = 1, M = 40 and
     the same 40 in Fortran order, with two- and three-phase services."""
     h = hashlib.sha256()
-    three = cf.random_coxian_decreasing(np.random.default_rng(2), max_phases=3)
+    three = random_coxian_decreasing(np.random.default_rng(2), max_phases=3)
     for policy in sorted(POLICY_SPECS):
         for service in (balanced_service, three):
             model = cf.PolicyModel(service=service, B=9, **POLICY_SPECS[policy])

@@ -2,11 +2,11 @@
 
 The DP decision is checked against exhaustive enumeration of level
 sequences evaluated through the definitional functional, which uses a
-different summation route than the DP.
+different summation route than the DP (``cli._leq_enumerate``, the oracle
+of ``verify order-oracle``).
 """
 
 import hashlib
-from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -14,22 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import coxfield as cf
-from coxfield.cli import SchemaError, state_from_dict, state_to_dict
-from coxfield.order import ORDER_TOL, _as_h
-
-
-def enum_leq(lo, hi, tol=1e-9):
-    """Order decision straight from the definition, no DP."""
-    a, b = _as_h(lo), _as_h(hi)
-    if float((b - a).min()) < -tol:
-        return False
-    B, n = a.shape
-    for combo in combinations_with_replacement(range(1, B + 1), n):
-        seq = tuple(reversed(combo))
-        if seq[0] > seq[-1]:
-            if cf.level_phase_mass(hi, seq) - cf.level_phase_mass(lo, seq) < -tol:
-                return False
-    return True
+from coxfield.cli import SchemaError, _leq_enumerate, state_from_dict, state_to_dict
+from coxfield.order import ORDER_TOL, _as_h, _cell_diffs, _phase_diffs, _tail_sums
 
 
 def random_pair(rng, B, n, recipe):
@@ -79,20 +65,15 @@ def test_violations_are_named():
 
 
 def test_occupancy_round_trip(rng):
+    # the cells are the occupancy: nonnegative, summing to h_{1,1}, and
+    # their tail sums give the state back
     for _ in range(50):
         B, n = int(rng.integers(1, 7)), int(rng.integers(1, 5))
-        state = cf.random_state(B, n, rng)
-        occ = cf.to_occupancy(state)
-        assert occ.x.min() >= 0
-        assert occ.idle + occ.x.sum() == pytest.approx(1.0, abs=1e-9)
-        back = cf.from_occupancy(occ)
-        assert np.abs(back.h - state.h).max() < 1e-12
-
-
-def test_to_occupancy_rejects_invalid():
-    bad = np.array([[0.5, 0.2], [0.9, 0.3]])
-    with pytest.raises(ValueError, match="level monotonicity"):
-        cf.to_occupancy(bad)
+        h = cf.random_state(B, n, rng).h
+        x = _cell_diffs(_phase_diffs(h))
+        assert x.min() >= 0
+        assert x.sum() == pytest.approx(h[0, 0], abs=1e-12)
+        assert np.abs(_tail_sums(x) - h).max() < 1e-12
 
 
 def test_extreme_states():
@@ -143,7 +124,7 @@ def test_dp_matches_enumeration(rng):
         B, n = int(rng.integers(1, 7)), int(rng.integers(1, 5))
         lo, hi = random_pair(rng, B, n, k % 3)
         got = cf.leq(lo, hi)
-        want = enum_leq(lo, hi)
+        want = _leq_enumerate(lo, hi)
         agree += got == want
         ordered += want
     assert agree == 400
@@ -281,7 +262,7 @@ def test_state_dict_schema_errors():
 def dyadic_state(B, n, rng):
     """Valid state with entries in sixteenths, so the DP meets exact ties."""
     raw = rng.multinomial(16, np.full(B * n + 1, 1.0 / (B * n + 1))) / 16.0
-    return cf.from_occupancy(cf.OccupancyState(float(raw[0]), raw[1:].reshape(B, n)))
+    return cf.MeanFieldState(_tail_sums(raw[1:].reshape(B, n)))
 
 
 def test_golden_order_decisions_and_reports():
