@@ -266,7 +266,7 @@ def _cmd_convert(args):
         grid = np.linspace(0.1, 5.0, 50) * m1
         gap = float(np.max(np.abs(cdf(dist, grid) - cdf(cox, grid))))
         out["cdf_max_gap"] = gap
-        if gap > (1e-10 if args.tol is None else args.tol):
+        if not gap <= (1e-10 if args.tol is None else args.tol):  # NaN fails
             print(f"conversion CDF gap {gap:.3e} exceeds tolerance", file=sys.stderr)
             code = 1
     path = os.path.join(args.out, "convert.json")

@@ -16,7 +16,9 @@ phase generator.  It is propagated exactly between sorted evaluation
 times by matrix exponentials of S times each gap (scipy's scaling and
 squaring, Al-Mohy & Higham 2009), so there is no step size to choose and
 no truncation error to bound; survival is the total mass and density the
-completion flow a(t) nu.
+completion flow a(t) nu.  Row i of S is scaled by min(gap, 1e30 / mu_i):
+a phase past that exponent keeps none of its mass, so very fast phases and
+huge or infinite times stay finite, where scipy's expm fails (near 1e37).
 
 Distributions are built from Python values; their JSON form is read and
 written by ``coxfield.cli``.
@@ -39,6 +41,9 @@ BOUNDARY_TOL = 1e-12
 
 #: survival values below this are too small for a trustworthy hazard ratio
 SURVIVAL_FLOOR = 1e-14
+
+#: largest exponent mu_i * gap a phase is propagated over, exp(-1e30) = 0
+EXPONENT_CAP = 1e30
 
 
 @dataclass(frozen=True)
@@ -233,9 +238,6 @@ def hyperexp_to_coxian(hyper: HyperExponential) -> CoxianDistribution:
     # rates are distinct, so the order is unique and weights never compare
     mu, w = zip(*sorted(zip(hyper.rates, hyper.weights), reverse=True))
     n = len(mu)
-    if n == 1:
-        return CoxianDistribution((mu[0],), (0.0,))
-
     # partial[k] accumulates prod_{j<=i} (1 - mu_k/mu_j) as i advances;
     # only k >= i is ever read, so the zero factor at j = k never enters.
     partial = [1.0] * n
@@ -467,14 +469,12 @@ def _phase_grid_many(dists: Sequence[Distribution], ts: np.ndarray):
     distinct gap; a repeated time has gap 0 and the identity propagator.
     """
     ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError("time grid must be one-dimensional")
-    if len(ts) and (ts[0] < 0 or np.any(np.diff(ts) < 0)):
-        raise ValueError("time grid must be nonnegative and ascending")
-    m = len(dists)
-    surv = np.empty((m, len(ts)))
-    dens = np.empty((m, len(ts)))
-    gaps, gap_index = np.unique(np.diff(ts, prepend=0.0), return_inverse=True)
+    if len(ts) and not (ts[0] >= 0 and np.all(ts[1:] >= ts[:-1])):
+        raise ValueError("times must be nonnegative, ascending and not NaN")
+    surv, dens = np.empty((2, len(dists), len(ts)))
+    with np.errstate(invalid="ignore"):  # inf - inf: a repeated infinite time
+        gaps = np.nan_to_num(np.diff(ts, prepend=0.0), nan=0.0, posinf=np.inf)
+    gaps, gap_index = np.unique(gaps, return_inverse=True)
 
     groups = {}
     for idx, d in enumerate(dists):
@@ -487,7 +487,9 @@ def _phase_grid_many(dists: Sequence[Distribution], ts: np.ndarray):
         diag = np.arange(n)
         gen[:, diag, diag] = -rates
         gen[:, diag[:-1], diag[1:]] = (rates * conts)[:, :-1]
-        steps = linalg.expm(gen[:, None] * gaps[:, None, None])
+        # row i of S times min(gap, EXPONENT_CAP / mu_i)
+        spans = np.minimum(gaps[:, None], EXPONENT_CAP / rates[:, None, :])
+        steps = linalg.expm(gen[:, None] * spans[..., None])
         nu = rates * (1.0 - conts)
         mass = alpha
         rows = np.asarray(members)
@@ -500,10 +502,11 @@ def _phase_grid_many(dists: Sequence[Distribution], ts: np.ndarray):
 
 def _eval_grid(dist: Distribution, t):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if t_arr.ndim != 1:
+        raise ValueError(f"times must be a scalar or 1-D, got shape {t_arr.shape}")
     order = np.argsort(t_arr, kind="stable")
     surv, dens = _phase_grid_many([dist], t_arr[order])
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
+    inv = np.argsort(order)  # the inverse permutation
     return surv[0][inv], dens[0][inv]
 
 

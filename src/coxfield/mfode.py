@@ -810,15 +810,19 @@ STACK_FLOATS = 1 << 21
 _WORK_STATES = 17
 
 
-def _chunks(count: int, size: int, members: int, samples: int) -> list:
-    """Consecutive slices of ``count`` starts, each within STACK_FLOATS.
+def _chunks(run, count: int, size: int, members: int, samples: int) -> tuple:
+    """``run`` on consecutive slices of ``count`` starts, its arrays joined.
 
     Each start is ``members`` integrated states of ``size`` floats, each
-    sampled at ``samples`` + 1 times.
+    sampled at ``samples`` + 1 times; a slice holds the starts that fit
+    STACK_FLOATS.  ``run(part)`` integrates and reduces one slice to a tuple
+    of arrays, and the k-th arrays of the slices are joined on their first
+    axis.  A chunk's trajectory is released when ``run`` returns.
     """
     per_start = members * (samples + 1 + _WORK_STATES) * size
     step = max(1, STACK_FLOATS // per_start)
-    return [slice(k, k + step) for k in range(0, count, step)]
+    parts = [run(slice(k, k + step)) for k in range(0, count, step)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _starts_and_fixed_point(model: PolicyModel, starts) -> tuple:
@@ -904,16 +908,15 @@ def lyapunov_report(
     at most LYAPUNOV_RATE_TOL.
     """
     starts, fp = _starts_and_fixed_point(model, starts)
-    rates, gaps = [], []
-    for part in _chunks(len(starts), starts[0].size, 1, LYAPUNOV_SAMPLES):
+
+    def run(part):
         top = upper_envelope(starts[part], fp.pi)
         states = integrate(model, top, T, samples=LYAPUNOV_SAMPLES).states
         rate = np.add(*lyapunov_rates(model, states))
         exact = np.add(*lyapunov_values(drift(model, states), model.service))
-        rates.append(rate.max(axis=0))
-        gaps.append(np.abs(exact - rate).max(axis=0))
-        del states  # so that the next chunk integrates without these samples
-    max_rates, gaps = np.concatenate(rates), np.concatenate(gaps)
+        return rate.max(axis=0), np.abs(exact - rate).max(axis=0)
+
+    max_rates, gaps = _chunks(run, len(starts), starts[0].size, 1, LYAPUNOV_SAMPLES)
     passed = (max_rates <= tol) & (gaps <= LYAPUNOV_RATE_TOL)
     return LyapunovReport(max_rates, gaps, passed, fp, bool(passed.all()))
 
@@ -957,22 +960,21 @@ def monotonicity_report(
         raise ValueError("initial states are not ordered")
     pairs = a.shape[:-2]
     a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
-    margins, first = [], []
-    for part in _chunks(len(a), a[0].size, 2, samples):
+
+    def run(part):
         traj = integrate(model, np.stack([a[part], b[part]]), T, samples=samples)
         times, lo_t, hi_t = traj.times, traj.states[:, 0], traj.states[:, 1]
         ordered, _, dp_min = _leq_arrays(lo_t, hi_t, tol)
         gap = np.minimum((hi_t - lo_t).min(axis=(-2, -1)), dp_min)
-        margins.append(gap.min(axis=0))
-        bad = ~ordered
-        first.append(np.where(bad.any(axis=0), times[bad.argmax(axis=0)], np.nan))
-        del traj, lo_t, hi_t  # so that the next chunk integrates without these samples
-    margins, first = np.concatenate(margins), np.concatenate(first)
+        first = np.where(ordered.all(axis=0), np.nan, times[ordered.argmin(axis=0)])
+        return gap.min(axis=0), first, times[None]
+
+    margins, first, times = _chunks(run, len(a), a[0].size, 2, samples)
     ok = bool(np.isnan(first).all())
     when = None if ok else float(np.nanmin(first))
     pair = None if ok else int(np.flatnonzero(first == when)[0])
     return OrderPreservationReport(
-        ok, times, when, pair, float(margins.min()),
+        ok, times[0], when, pair, float(margins.min()),
         margins.reshape(pairs), first.reshape(pairs),
     )
 
@@ -1000,15 +1002,15 @@ def attraction_report(
     endpoint distance (small values evidence a unique attractor).
     """
     starts, fp = _starts_and_fixed_point(model, starts)
-    dists, tops, bottoms = [], [], []
-    for part in _chunks(len(starts), starts[0].size, 1, 1):
+
+    def run(part):
         ends = integrate(model, starts[part], T, samples=1).final
-        dists.append(np.max(np.abs(ends - fp.pi.h), axis=(-2, -1)))
-        tops.append(ends.max(axis=0))
-        bottoms.append(ends.min(axis=0))
-    dists = np.concatenate(dists)
+        dist = np.max(np.abs(ends - fp.pi.h), axis=(-2, -1))
+        return dist, ends.max(axis=0, keepdims=True), ends.min(axis=0, keepdims=True)
+
+    dists, tops, bottoms = _chunks(run, len(starts), starts[0].size, 1, 1)
     # the largest |x_i - x_j| over pairs is max - min, also after rounding
-    pairwise = np.max(tops, axis=0) - np.min(bottoms, axis=0)
+    pairwise = tops.max(axis=0) - bottoms.min(axis=0)
     return AttractionReport(
         distances=dists,
         max_distance=float(dists.max()),

@@ -26,7 +26,8 @@ import numpy as np
 #: default tolerance for state-space membership checks
 OMEGA_TOL = 1e-12
 
-#: default tolerance for order checks on integrated trajectories
+#: default tolerance of ``leq``, ``leq_report`` and ``verify order-oracle``
+#: (``monotonicity_report`` checks its trajectories at 1e-8)
 ORDER_TOL = 1e-9
 
 
@@ -235,16 +236,13 @@ def _leq_arrays(h: np.ndarray, ht: np.ndarray, tol: float):
     Returns (ok, componentwise_ok, dp_min) with batch shape (...,).
     dp_min is the sequence-functional gap minimized over all nonincreasing
     sequences; once componentwise ordering holds, constant sequences have
-    nonnegative gaps, so including them never flips the decision.
+    nonnegative gaps, so including them never flips the decision.  With one
+    phase dp_min is the smallest componentwise gap.
     """
     comp_ok = (ht >= h - tol).all(axis=(-2, -1))
-    n = h.shape[-1]
-    if n == 1:
-        dp_min = np.full(h.shape[:-2], np.inf)
-        return comp_ok, comp_ok, dp_min
     d = _phase_diffs(ht) - _phase_diffs(h)
     m = d[..., :, 0]
-    for i in range(1, n):
+    for i in range(1, h.shape[-1]):
         m = d[..., :, i] + _suffix_min(m)
     dp_min = m.min(axis=-1)
     return comp_ok & (dp_min >= -tol), comp_ok, dp_min

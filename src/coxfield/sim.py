@@ -16,11 +16,12 @@ estimate satisfies the state-space inequalities up to float summation
 error.
 
 The event loop is one flat pure-Python loop: the swap-remove and the
-dwell charge are written inline.  Arrivals follow the drift's rule,
-``model.arrival`` = (K, d, pull): the K shortest of d sampled queues get
-one job each, so jsq is K = 1 and a pullpush local arrival is K = d = 1,
-and a pull moves one waiting job to the idle server that probed.  All of
-them end in one block that places a job on each chosen server.
+dwell charge are written inline.  It branches on the drift's rule,
+``model.arrival`` = (K, d, pull), alone: the K shortest of d sampled
+queues get one job each (so batchjsq with K = 1 simulates as jsq to the
+byte, and a pullpush local arrival is K = d = 1), and at a nonzero pull
+rate a pull moves one waiting job to the idle server that probed.  All
+of them end in one block that places a job on each chosen server.
 
 Uniforms come from the bound ``next`` of a C-level chain over
 ``Generator.random`` blocks that double from 1024 to 65536 floats; the
@@ -161,8 +162,6 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
     cont = [0.0] + [float(p) for p in model.service.continuations]
     mu1 = mu[1]
     lam_total = model.lam * N
-    pullpush = model.kind == "pullpush"
-    batch = model.kind == "batchjsq"
     K, d, probe_rate = model.arrival
     choices, rest = range(d), range(d - 1)
 
@@ -186,10 +185,7 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
     # past warmup restarts every clock at warmup and drops the charges made
     # before it; the next stop is the horizon.
     while True:
-        if pullpush:
-            arr_total = lam_total + probe_rate * len(idle)
-        else:
-            arr_total = lam_total
+        arr_total = lam_total + probe_rate * len(idle) if probe_rate else lam_total
         total = arr_total + svc_total
         t += -log(1.0 - u()) / total
         if t >= stop:
@@ -222,7 +218,7 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
                 last[s] = t
                 qlen[s] = li - 1
                 targets = (prober,)
-            elif batch:
+            elif K > 1:
                 # rank the d sampled slots by length at arrival, random
                 # tiebreak; the K best get one job each (repeats allowed)
                 jobs += K
@@ -230,8 +226,8 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
                 slots.sort()
                 targets = [s for _, _, s in slots[:K]]
             else:
-                # the shortest of d sampled queues, random tiebreak; a
-                # pullpush local arrival is the case d = 1
+                # the shortest of d sampled queues, random tiebreak (K = 1);
+                # a pullpush local arrival is the case d = 1
                 jobs += 1
                 best = int(u() * N)
                 blen = qlen[best]

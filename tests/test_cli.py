@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxfield as cf
+from coxfield import cli
 from coxfield.cli import (
     SCHEMA_CAPS, _build_parser, main, model_from_dict, state_from_dict, state_to_dict,
 )
@@ -68,6 +69,21 @@ def test_convert_coxian_reports_membership(tmp_path):
     out = load(tmp_path, "convert.json")
     assert out["completion_rates"] == [0.75, 2.0]
     assert not out["class"]["is_member"]
+
+
+def test_convert_fast_phase_has_finite_gap(tmp_path):
+    # rate 1e40 takes the CDF grid's exponents past 1e37, where expm alone
+    # gives NaN; capped, the gap is finite and small
+    dist = {"kind": "hyperexp", "weights": [0.5, 0.5], "rates": [1e40, 1.0]}
+    src = write(tmp_path / "dist.json", dist)
+    assert main(["convert", src, "--out", str(tmp_path)]) == 0
+    assert 0 <= load(tmp_path, "convert.json")["cdf_max_gap"] <= 1e-10
+
+
+def test_convert_fails_non_finite_gap(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "cdf", lambda dist, t: np.full(np.shape(t), np.nan))
+    src = write(tmp_path / "dist.json", HYPER)
+    assert main(["convert", src, "--out", str(tmp_path)]) == 1
 
 
 @pytest.mark.parametrize("dist", [

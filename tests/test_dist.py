@@ -205,6 +205,33 @@ def test_pdf_is_cdf_derivative():
         assert cf.pdf(cox, t) == pytest.approx(fd, rel=1e-7)
 
 
+def test_fast_phases_and_huge_times_stay_finite():
+    # expm alone fails once a phase's mu * gap passes about 1e37; capped at
+    # 1e30, a phase of rate 1e40 or more passes half its mass on at once
+    ts = np.array([1e-3, 1.0, 10.0])
+    for mu in (1e40, 1e100, 1e200):
+        cox = cf.CoxianDistribution((mu, 1.0), (0.5, 0.0))
+        assert 1 - cf.cdf(cox, ts) == pytest.approx(0.5 * np.exp(-ts), rel=1e-12)
+    cox = cf.CoxianDistribution((1e40, 1.0), (0.5, 0.0))
+    assert cf.cdf(cox, 1.0) == pytest.approx(1 - 0.5 * math.exp(-1), rel=1e-15)
+    # huge and infinite times, repeated, after an ordinary one
+    h2 = cf.hyperexp_to_coxian(cf.HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0)))
+    fast = cf.HyperExponential((0.5, 0.5), (1e40, 1.0))
+    ts = np.array([1.0, 1e40, 1e300, np.inf, np.inf])
+    for dist in (h2, fast, cox):
+        assert np.isfinite(cf.cdf(dist, ts[0]))
+        assert (cf.cdf(dist, ts)[1:] == 1.0).all()
+        assert (cf.pdf(dist, ts)[1:] == 0.0).all()
+        assert np.isnan(cf.hazard(dist, ts)[1:]).all()
+        assert cf.cdf(dist, np.inf) == 1.0
+
+
+@pytest.mark.parametrize("t", [math.nan, [1.0, math.nan], [[1.0, 2.0]]])
+def test_nan_and_multidimensional_times_are_rejected(t):
+    with pytest.raises(ValueError, match="times"):
+        cf.cdf(cf.CoxianDistribution((1.0,), (0.0,)), t)
+
+
 # ---------------------------------------------------------------------------
 # class membership and its consequences
 

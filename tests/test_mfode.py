@@ -827,31 +827,30 @@ def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
     # both sides, 10 samples + start and the integrator's working states, B n
     pair_floats = 2 * (11 + mfode._WORK_STATES) * 5 * 2
     start_floats = (2 + mfode._WORK_STATES) * 5 * 2  # start, end and working states
-    stacks = []
-
-    def integrate(model, h0, *args, **kwargs):
-        stacks.append(math.prod(np.shape(h0)[:-2]))
-        return cf.integrate(model, h0, *args, **kwargs)
-
-    runs = []
-    for floats in (mfode.STACK_FLOATS, 2 * pair_floats):
-        monkeypatch.setattr(mfode, "STACK_FLOATS", floats)
-        mono = cf.monotonicity_report(model, lo.reshape(2, 3, 5, 2),
-                                      hi.reshape(2, 3, 5, 2), 2.0, samples=10,
-                                      tol=-0.28)
-        lyap = cf.lyapunov_report(model, lo, 2.0)
-        with monkeypatch.context() as patch:
-            patch.setattr(mfode, "integrate", integrate)
-            stacks.clear()
-            runs.append((mono, lyap, cf.attraction_report(model, starts, 2.0)))
-    (mono, lyap, attr), (mono_chunked, lyap_chunked, attr_chunked) = runs
-    # the attraction stack of 50 starts runs in 10 chunks of 5
-    assert len(mfode._chunks(50, 5 * 2, 1, 1)) == 10
-    assert max(stacks) == 2 * pair_floats // start_floats
+    reports = (
+        lambda: cf.monotonicity_report(model, lo.reshape(2, 3, 5, 2),
+                                       hi.reshape(2, 3, 5, 2), 2.0, samples=10,
+                                       tol=-0.28),
+        lambda: cf.lyapunov_report(model, lo, 2.0),
+        lambda: cf.attraction_report(model, starts, 2.0),
+    )
+    runs, stacks = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(mfode, "integrate", integrate_spy(stacks))
+        for floats in (mfode.STACK_FLOATS, 2 * pair_floats):
+            patch.setattr(mfode, "STACK_FLOATS", floats)
+            for report in reports:
+                stacks.append([])
+                runs.append(report())
+    mono, lyap, attr, mono_chunked, lyap_chunked, attr_chunked = runs
+    # one stack each, then the 6 pairs (two sides each) in 3 chunks of 2,
+    # the 6 Lyapunov starts in chunks of 4 and 2, and the 50 attraction
+    # starts in 10 chunks of 5
+    chunk = 2 * pair_floats // start_floats
+    assert stacks == [[12], [6], [50], [4] * 3, [4, 2], [chunk] * 10]
     assert attr.max_distance == attr_chunked.max_distance
     assert attr.pairwise_max == attr_chunked.pairwise_max > 0
     assert attr.distances.tobytes() == attr_chunked.distances.tobytes()
-    assert len(mfode._chunks(6, 5 * 2, 2, 10)) == 3
     assert mono.pair_margins.shape == (2, 3)
     assert not mono.ok and mono.violation_pair == 4
     assert np.isfinite(mono.pair_violation_times).sum() == 3
@@ -864,6 +863,30 @@ def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
         assert getattr(lyap, field).tobytes() == getattr(lyap_chunked, field).tobytes()
 
 
+def integrate_spy(stacks):
+    """``integrate`` that appends each call's stack size to stacks[-1]."""
+    def integrate(model, h0, *args, **kwargs):
+        stacks[-1].append(math.prod(np.shape(h0)[:-2]))
+        return cf.integrate(model, h0, *args, **kwargs)
+    return integrate
+
+
+def chunk_peaks(monkeypatch, report, sizes):
+    """tracemalloc peak of ``report(size)`` per size, and its integrate stacks."""
+    stacks, peaks = [[]], []
+    monkeypatch.setattr(mfode, "integrate", integrate_spy(stacks))
+    report(1)  # compiles the drift
+    for size in sizes:
+        stacks.append([])
+        tracemalloc.start()
+        try:
+            report(size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks, stacks[1:]
+
+
 def test_monotonicity_chunks_do_not_hold_each_other(balanced_service, monkeypatch):
     # a chunk's samples are dropped before the next chunk integrates, so
     # three chunks peak no higher than one
@@ -873,16 +896,29 @@ def test_monotonicity_chunks_do_not_hold_each_other(balanced_service, monkeypatc
     rng = np.random.default_rng(16)
     hi = np.stack([cf.random_state(25, 2, rng).h for _ in range(90)])
     lo = 0.5 * hi
-    cf.monotonicity_report(model, lo[:1], hi[:1], 0.5)  # compiles the drift
-    peaks = []
-    for pairs in (30, 90):
-        tracemalloc.start()
-        try:
-            cf.monotonicity_report(model, lo[:pairs], hi[:pairs], 0.5)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert len(mfode._chunks(90, 25 * 2, 2, 50)) == 3
+    peaks, stacks = chunk_peaks(
+        monkeypatch,
+        lambda pairs: cf.monotonicity_report(model, lo[:pairs], hi[:pairs], 0.5),
+        (30, 90),
+    )
+    assert stacks == [[60], [60] * 3]  # both sides of 30 pairs a chunk
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def test_attraction_chunks_do_not_hold_each_other(balanced_service, monkeypatch):
+    # the attraction twin: a chunk's two-sample trajectory is released when
+    # the chunk returns, so three chunks peak no higher than one
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=25, d=2)
+    start_floats = (2 + mfode._WORK_STATES) * 25 * 2
+    monkeypatch.setattr(mfode, "STACK_FLOATS", 30 * start_floats)
+    rng = np.random.default_rng(17)
+    starts = np.stack([cf.random_state(25, 2, rng).h for _ in range(90)])
+    peaks, stacks = chunk_peaks(
+        monkeypatch,
+        lambda count: cf.attraction_report(model, starts[:count], 0.5),
+        (30, 90),
+    )
+    assert stacks == [[30], [30] * 3]
     assert peaks[1] <= 1.05 * peaks[0], peaks
 
 

@@ -207,6 +207,24 @@ def test_degenerate_shapes_have_no_sequences(rng):
     assert cf.leq_report(a, b).witness is None
 
 
+def test_single_phase_order_is_componentwise(rng):
+    # with n = 1 every level sequence is constant: leq, and the margins of
+    # monotonicity_report, are the componentwise check and its smallest gap
+    for shift in (0.0, 0.5e-9, 2e-9, 1e-3):
+        for _ in range(20):
+            a = cf.random_state(5, 1, rng)
+            b = cf.MeanFieldState(np.clip(a.h + rng.uniform(-shift, 1e-3, (5, 1)), 0, 1))
+            assert cf.leq(a, b) == bool((b.h >= a.h - ORDER_TOL).all())
+    model = cf.PolicyModel(kind="jsq", lam=0.8, d=2, B=5,
+                           service=cf.CoxianDistribution((1.0,), (0.0,)))
+    hi = np.stack([cf.random_state(5, 1, rng).h for _ in range(8)])
+    lo = 0.5 * hi
+    report = cf.monotonicity_report(model, lo, hi, 2.0, samples=5)
+    states = cf.integrate(model, np.stack([lo, hi]), 2.0, samples=5).states
+    gaps = (states[:, 1] - states[:, 0]).min(axis=(-2, -1)).min(axis=0)
+    assert report.ok and report.pair_margins.tobytes() == gaps.tobytes()
+
+
 def test_upper_envelope_properties(rng):
     for _ in range(30):
         B, n = int(rng.integers(2, 7)), int(rng.integers(1, 4))

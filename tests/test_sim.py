@@ -214,6 +214,24 @@ def test_replicate_golden_bytes(threads, balanced_service, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("spec, twin", [
+    (dict(kind="batchjsq", d=3, K=1), dict(kind="jsq", d=3)),
+    (dict(kind="pullpush", r=0.0), dict(kind="jsq", d=1)),
+])
+def test_same_arrival_rule_same_bytes(spec, twin, balanced_service):
+    # the event loop reads the policy only as model.arrival = (K, d, pull),
+    # so two models with the same triple draw the same uniforms
+    runs = []
+    for kind in (spec, twin):
+        model = cf.PolicyModel(lam=0.7, service=balanced_service, B=6, **kind)
+        assert model.arrival == cf.PolicyModel(
+            lam=0.7, service=balanced_service, B=6, **twin).arrival
+        config = cf.SimConfig(model=model, N=40, horizon=60.0, warmup=10.0)
+        dwell, *counts = sim._run_replication(config, 3)
+        runs.append((dwell.tobytes(), counts))
+    assert runs[0] == runs[1]
+
+
 def test_stats_count_each_replication(balanced_service):
     model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=6, d=2)
     config = cf.SimConfig(
