@@ -163,13 +163,12 @@ def distribution_from_dict(data):
 
 
 def model_to_dict(model: PolicyModel) -> dict:
-    out = {
+    return {
         "policy": model.kind,
         "lambda": model.lam,
         "B": model.B,
         "service": distribution_to_dict(model.service),
-    }
-    return out | {key: getattr(model, key) for key in POLICY_FIELDS[model.kind]}
+    } | {key: getattr(model, key) for key in POLICY_FIELDS[model.kind]}
 
 
 def model_from_dict(data) -> PolicyModel:

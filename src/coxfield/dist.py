@@ -16,9 +16,10 @@ phase generator.  It is propagated exactly between sorted evaluation
 times by matrix exponentials of S times each gap (scipy's scaling and
 squaring, Al-Mohy & Higham 2009), so there is no step size to choose and
 no truncation error to bound; survival is the total mass and density the
-completion flow a(t) nu.  Row i of S is scaled by min(gap, 1e30 / mu_i):
-a phase past that exponent keeps none of its mass, so very fast phases and
-huge or infinite times stay finite, where scipy's expm fails (near 1e37).
+completion flow a(t) nu.  Row i of S is scaled by span_i = min(gap, 1e30 /
+mu_i) and column i of the step by span_i / gap: a capped phase keeps none
+of its own mass and carries its inflow's balance mass at mu_i, so fast
+phases and huge or infinite times stay finite (expm fails near 1e37).
 
 Distributions are built from Python values; their JSON form is read and
 written by ``coxfield.cli``.
@@ -460,21 +461,20 @@ def fit_hyperexp2(
 
 
 def _phase_grid_many(dists: Sequence[Distribution], ts: np.ndarray):
-    """Survival and density for many distributions on a shared sorted grid.
+    """Survival and density for many distributions on a shared time grid.
 
     Returns (survival, density), each of shape (len(dists), len(ts)).  The
-    phase mass a(t) = alpha expm(S t) moves from one grid point to the next
-    by the exact propagator expm(S gap).  Distributions are grouped by phase
-    count, and one batched ``expm`` per group covers every member and every
-    distinct gap; a repeated time has gap 0 and the identity propagator.
+    phase mass a(t) = alpha expm(S t) moves from one distinct time to the
+    next by the exact propagator expm(S gap).  Distributions are grouped by
+    phase count, and one batched ``expm`` per group covers every member and
+    every distinct gap.
     """
     ts = np.asarray(ts, dtype=float)
-    if len(ts) and not (ts[0] >= 0 and np.all(ts[1:] >= ts[:-1])):
-        raise ValueError("times must be nonnegative, ascending and not NaN")
-    surv, dens = np.empty((2, len(dists), len(ts)))
-    with np.errstate(invalid="ignore"):  # inf - inf: a repeated infinite time
-        gaps = np.nan_to_num(np.diff(ts, prepend=0.0), nan=0.0, posinf=np.inf)
-    gaps, gap_index = np.unique(gaps, return_inverse=True)
+    if not np.all(ts >= 0):
+        raise ValueError("times must be nonnegative and not NaN")
+    times, at = np.unique(ts, return_inverse=True)
+    surv, dens = np.empty((2, len(dists), len(times)))
+    gaps, gap_index = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
 
     groups = {}
     for idx, d in enumerate(dists):
@@ -487,9 +487,11 @@ def _phase_grid_many(dists: Sequence[Distribution], ts: np.ndarray):
         diag = np.arange(n)
         gen[:, diag, diag] = -rates
         gen[:, diag[:-1], diag[1:]] = (rates * conts)[:, :-1]
-        # row i of S times min(gap, EXPONENT_CAP / mu_i)
+        # row i of S times span_i = min(gap, cap / mu_i), column i span_i / gap
         spans = np.minimum(gaps[:, None], EXPONENT_CAP / rates[:, None, :])
-        steps = linalg.expm(gen[:, None] * spans[..., None])
+        capped = spans < gaps[:, None]
+        kept = np.divide(spans, gaps[:, None], out=np.ones_like(spans), where=capped)
+        steps = linalg.expm(gen[:, None] * spans[..., None]) * kept[..., None, :]
         nu = rates * (1.0 - conts)
         mass = alpha
         rows = np.asarray(members)
@@ -497,17 +499,15 @@ def _phase_grid_many(dists: Sequence[Distribution], ts: np.ndarray):
             mass = np.einsum("mi,mij->mj", mass, steps[:, g])
             surv[rows, col] = mass.sum(axis=1)
             dens[rows, col] = (mass * nu).sum(axis=1)
-    return surv, dens
+    return surv[:, at], dens[:, at]
 
 
 def _eval_grid(dist: Distribution, t):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if t_arr.ndim != 1:
         raise ValueError(f"times must be a scalar or 1-D, got shape {t_arr.shape}")
-    order = np.argsort(t_arr, kind="stable")
-    surv, dens = _phase_grid_many([dist], t_arr[order])
-    inv = np.argsort(order)  # the inverse permutation
-    return surv[0][inv], dens[0][inv]
+    surv, dens = _phase_grid_many([dist], t_arr)
+    return surv[0], dens[0]
 
 
 def cdf(dist: Distribution, t):

@@ -946,10 +946,9 @@ def monotonicity_report(
 
     ``lo`` and ``hi`` may carry leading batch axes (pairs are matched
     elementwise) and are integrated as one stack (in chunks of at most
-    STACK_FLOATS floats), as ``verify monotone`` does.  Inputs
-    must be ordered at t=0; the margin is the most negative
-    componentwise or sequence-functional gap, and ``violation_pair`` a
-    flat index into the stack.
+    STACK_FLOATS floats), as ``verify monotone`` does.  Inputs must be
+    ordered at t=0; the margin is the most negative componentwise or
+    sequence-functional gap; ``violation_pair`` indexes the flat stack.
     """
     a, b = _as_h(lo, batch=True), _as_h(hi, batch=True)
     if a.shape != b.shape:
@@ -960,16 +959,18 @@ def monotonicity_report(
         raise ValueError("initial states are not ordered")
     pairs = a.shape[:-2]
     a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
+    times = []
 
     def run(part):
         traj = integrate(model, np.stack([a[part], b[part]]), T, samples=samples)
-        times, lo_t, hi_t = traj.times, traj.states[:, 0], traj.states[:, 1]
+        times[:] = [traj.times]  # the same in every chunk
+        lo_t, hi_t = traj.states[:, 0], traj.states[:, 1]
         ordered, _, dp_min = _leq_arrays(lo_t, hi_t, tol)
         gap = np.minimum((hi_t - lo_t).min(axis=(-2, -1)), dp_min)
-        first = np.where(ordered.all(axis=0), np.nan, times[ordered.argmin(axis=0)])
-        return gap.min(axis=0), first, times[None]
+        first = np.where(ordered.all(axis=0), np.nan, times[0][ordered.argmin(axis=0)])
+        return gap.min(axis=0), first
 
-    margins, first, times = _chunks(run, len(a), a[0].size, 2, samples)
+    margins, first = _chunks(run, len(a), a[0].size, 2, samples)
     ok = bool(np.isnan(first).all())
     when = None if ok else float(np.nanmin(first))
     pair = None if ok else int(np.flatnonzero(first == when)[0])

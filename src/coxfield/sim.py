@@ -185,7 +185,7 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
     # past warmup restarts every clock at warmup and drops the charges made
     # before it; the next stop is the horizon.
     while True:
-        arr_total = lam_total + probe_rate * len(idle) if probe_rate else lam_total
+        arr_total = lam_total + probe_rate * len(idle)
         total = arr_total + svc_total
         t += -log(1.0 - u()) / total
         if t >= stop:

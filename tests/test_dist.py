@@ -226,6 +226,23 @@ def test_fast_phases_and_huge_times_stay_finite():
         assert cf.cdf(dist, np.inf) == 1.0
 
 
+@pytest.mark.parametrize("mu", [1e35, 1e40, 1e100])
+def test_capped_phase_fed_by_a_slower_one_keeps_its_density(mu):
+    # phase 2 passes on at once what phase 1 sends it, so pdf(t) = e^-t;
+    # its capped mass must be counted at mu, not at the stand-in rate
+    cox = cf.CoxianDistribution((1.0, mu), (0.5, 0.0))
+    assert cf.pdf(cox, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert cf.hazard(cox, 1.0) == pytest.approx(1.0, rel=1e-12)
+    ts = np.array([1e-3, 1.0, 1.0, 1.0 + 2**-52, 3.0, 10.0])
+    assert cf.pdf(cox, ts) == pytest.approx(np.exp(-ts), rel=1e-12)
+    assert cf.hazard(cox, ts) == pytest.approx(np.ones_like(ts), rel=1e-12)
+    # a fast middle phase: the law of Coxian((1, 2), (0.25, 0))
+    mid = cf.CoxianDistribution((1.0, mu, 2.0), (0.5, 0.5, 0.0))
+    ref = cf.CoxianDistribution((1.0, 2.0), (0.25, 0.0))
+    for f in (cf.cdf, cf.pdf, cf.hazard):
+        assert f(mid, ts) == pytest.approx(f(ref, ts), rel=1e-12)
+
+
 @pytest.mark.parametrize("t", [math.nan, [1.0, math.nan], [[1.0, 2.0]]])
 def test_nan_and_multidimensional_times_are_rejected(t):
     with pytest.raises(ValueError, match="times"):
