@@ -207,9 +207,23 @@ def _tol(args, name="tol"):
     return {} if args.tol is None else {name: args.tol}
 
 
+def _jsonable(obj):
+    """``obj`` in plain JSON values, each non-finite float as None (null)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_json(path, obj):
+    """Strict JSON: NaN and ±inf, which JSON cannot hold, are written as null."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -275,7 +289,7 @@ def _cmd_convert(args):
 
 def _cmd_fit(args):
     target = MomentTriple(args.m1, args.n2, args.n3)
-    hyper = fit_hyperexp2(target, **_tol(args, "region_tol"))
+    hyper = fit_hyperexp2(target)
     achieved = normalized_moments(hyper)
     out = {
         "target": asdict(target),
@@ -518,7 +532,7 @@ def _build_parser():
                 "hyperexponential to Coxian, with checks")
     p.add_argument("input", help="distribution JSON file")
 
-    p = command("fit", _cmd_fit, [out, tol], "two-branch hyperexponential from moments")
+    p = command("fit", _cmd_fit, [out], "two-branch hyperexponential from moments")
     p.add_argument("--m1", type=float, required=True, help="mean")
     p.add_argument("--n2", type=float, required=True, help="m2 / m1^2")
     p.add_argument("--n3", type=float, required=True, help="m3 / (m1 m2)")

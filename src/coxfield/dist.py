@@ -47,6 +47,25 @@ SURVIVAL_FLOOR = 1e-14
 EXPONENT_CAP = 1e30
 
 
+def _set_fields(dist, other: str) -> tuple:
+    """Store ``dist.rates`` and ``dist.<other>`` as float tuples and check them.
+
+    The one field check of the three distribution types: the two fields
+    have equal, nonzero lengths and every rate is positive and finite.
+    Returns the ``other`` tuple; each type then checks its own rules.
+    """
+    values = tuple(map(float, getattr(dist, other)))
+    rates = tuple(map(float, dist.rates))
+    object.__setattr__(dist, other, values)
+    object.__setattr__(dist, "rates", rates)
+    if not 0 < len(values) == len(rates):
+        raise ValueError(f"got {len(values)} {other} for {len(rates)} rates")
+    for r in rates:  # a loop: on a few phases, cheaper than all() over a generator
+        if not 0 < r < math.inf:
+            raise ValueError(f"rates must be positive and finite, got {rates}")
+    return values
+
+
 @dataclass(frozen=True)
 class CoxianDistribution:
     """Coxian distribution with rates ``mu_i`` and continuations ``p_i``.
@@ -64,20 +83,10 @@ class CoxianDistribution:
     continuations: tuple
 
     def __post_init__(self):
-        rates = tuple(float(r) for r in self.rates)
-        conts = tuple(float(p) for p in self.continuations)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "continuations", conts)
-        if len(rates) == 0:
-            raise ValueError("a Coxian needs at least one phase")
-        if len(conts) != len(rates):
-            raise ValueError(
-                f"got {len(rates)} rates but {len(conts)} continuations"
-            )
-        if any(r <= 0 or not math.isfinite(r) for r in rates):
-            raise ValueError(f"rates must be positive and finite, got {rates}")
-        if any(not 0.0 <= p < 1.0 for p in conts):
-            raise ValueError(f"continuations must be finite and in [0, 1), got {conts}")
+        conts = _set_fields(self, "continuations")
+        for p in conts:
+            if not 0.0 <= p < 1.0:
+                raise ValueError(f"continuations must be finite and in [0, 1), got {conts}")
         if conts[-1] != 0.0:
             raise ValueError(f"last continuation must be 0, got {conts[-1]}")
 
@@ -117,21 +126,13 @@ class HyperExponential:
     rates: tuple
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        rates = tuple(float(r) for r in self.rates)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "rates", rates)
-        if len(w) == 0 or len(w) != len(rates):
-            raise ValueError(
-                f"got {len(w)} weights for {len(rates)} rates"
-            )
-        if any(not (v > 0 and math.isfinite(v)) for v in w):
-            raise ValueError(f"weights must be positive and finite, got {w}")
+        w = _set_fields(self, "weights")
+        for v in w:
+            if not 0 < v < math.inf:
+                raise ValueError(f"weights must be positive and finite, got {w}")
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got sum {sum(w)!r}")
-        if any(r <= 0 or not math.isfinite(r) for r in rates):
-            raise ValueError(f"rates must be positive and finite, got {rates}")
-        _reject_duplicate_rates(rates)
+        _reject_duplicate_rates(self.rates)
 
     @property
     def k(self) -> int:
@@ -151,14 +152,7 @@ class SignedMixture:
     rates: tuple
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        rates = tuple(float(r) for r in self.rates)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "rates", rates)
-        if len(w) == 0 or len(w) != len(rates):
-            raise ValueError(f"got {len(w)} weights for {len(rates)} rates")
-        if any(r <= 0 for r in rates):
-            raise ValueError(f"rates must be positive, got {rates}")
+        w = _set_fields(self, "weights")
         if abs(sum(w) - 1.0) > 1e-10:
             raise ValueError(f"weights must sum to 1, got sum {sum(w)!r}")
 
@@ -308,12 +302,11 @@ def has_decreasing_completion_rates(
     tol : float, optional
         Slack: the check passes when every nu_i - nu_{i+1} > -tol.  The
         default demands strict decrease, except that ties within 1e-12 are
-        reported as a boundary case and accepted with margin 0.
+        reported as a boundary case and accepted with margin 0.  A single
+        phase has no pair to compare: it is a member with margin +inf.
     """
-    if cox.n == 1:
-        return CompletionRateCheck(True, math.inf, False)
     nu = [m * (1.0 - p) for m, p in zip(cox.rates, cox.continuations)]
-    margin = min(a - b for a, b in zip(nu, nu[1:]))
+    margin = min((a - b for a, b in zip(nu, nu[1:])), default=math.inf)
     boundary = -BOUNDARY_TOL <= margin <= 0.0
     is_member = margin > -tol or boundary
     return CompletionRateCheck(is_member, 0.0 if boundary else margin, boundary)
@@ -386,9 +379,7 @@ def normalized_moments(dist: Distribution) -> MomentTriple:
     return MomentTriple(m1, m2 / m1 ** 2, m3 / (m1 * m2))
 
 
-def fit_hyperexp2(
-    target: MomentTriple, region_tol: float = 0.0
-) -> HyperExponential:
+def fit_hyperexp2(target: MomentTriple) -> HyperExponential:
     """Fit a two-branch hyperexponential to a moment triple in closed form.
 
     The moment equations m_j = j! sum_k w_k / mu_k^j say the branch means
@@ -396,16 +387,14 @@ def fit_hyperexp2(
     atoms solve a quadratic with coefficients linear in the moments, and
     the weight follows from the mean.  Feasibility requires n2 > 2 and
     n3 > 1.5 * n2 (an open region); the single point (n2, n3) = (2, 3)
-    is the exponential with rate 1/m1.
+    is the exponential with rate 1/m1.  On the boundary n3 = 1.5 * n2 one
+    branch mean collapses to zero, and below it the root product is
+    negative, so no slack on the boundary could admit a fit.
 
     Parameters
     ----------
     target : MomentTriple
         Moments to match.
-    region_tol : float, optional
-        Slack applied to the n3 > 1.5 * n2 boundary.  The default keeps the
-        boundary excluded: on it one branch mean collapses to zero.  Even
-        with slack, a degenerate solution is rejected after the solve.
 
     Raises
     ------
@@ -420,7 +409,7 @@ def fit_hyperexp2(
         raise ValueError(
             f"second normalized moment must exceed 2, got n2={n2!r}"
         )
-    if n3 <= 1.5 * n2 - region_tol:
+    if n3 <= 1.5 * n2:
         raise ValueError(
             f"third normalized moment must exceed 1.5*n2={1.5 * n2!r}, "
             f"got n3={n3!r}"

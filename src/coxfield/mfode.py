@@ -119,6 +119,23 @@ class IntegrationError(RuntimeError):
     """Raised when a trajectory leaves the state space beyond tolerance."""
 
 
+def _set_integer(obj, name: str, low: int = 1) -> int:
+    """Store field ``name`` of a frozen dataclass as an int >= ``low``.
+
+    An integer value such as 2.0 counts; anything else (2.5, inf, NaN,
+    None, a string) raises a ValueError naming the field.
+    """
+    value = getattr(obj, name)
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < low:
+        raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
+    object.__setattr__(obj, name, whole)
+    return whole
+
+
 @dataclass(frozen=True)
 class PolicyModel:
     """A load-balancing policy with its rates and service distribution.
@@ -145,8 +162,8 @@ class PolicyModel:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError(f"arrival rate must be positive, got {self.lam!r}")
-        if self.B is not None and (int(self.B) != self.B or self.B < 1):
-            raise ValueError(f"buffer size must be a positive integer, got {self.B!r}")
+        if self.B is not None:
+            _set_integer(self, "B")
         m1 = moments(self.service, 1)
         if abs(m1 - 1.0) > _UNIT_MEAN_TOL:
             raise ValueError(f"service must have unit mean, got {m1!r}")
@@ -163,11 +180,8 @@ class PolicyModel:
                     f"pullpush needs a finite probe rate r >= 0, got {self.r!r}"
                 )
         else:
-            if self.d is None or int(self.d) != self.d or self.d < 1:
-                raise ValueError(f"{self.kind} needs integer d >= 1, got {self.d!r}")
-            if self.kind == "batchjsq" and (
-                self.K is None or int(self.K) != self.K or not 1 <= self.K <= self.d
-            ):
+            d = _set_integer(self, "d")
+            if self.kind == "batchjsq" and _set_integer(self, "K") > d:
                 raise ValueError(f"batchjsq needs 1 <= K <= d, got K={self.K!r}")
         if self.load >= 1:
             warnings.warn(

@@ -69,6 +69,9 @@ class LeqReport:
     ``nonconstant_min_gap`` restricts to admissible sequences (first level
     strictly above the last) and ``witness`` is a minimizing admissible
     sequence (1-based levels) when that gap is negative beyond tolerance.
+    With one phase every sequence is constant: ``min_gap`` is the smallest
+    componentwise gap, ``nonconstant_min_gap`` is +inf and there is no
+    witness.
     """
 
     ok: bool
@@ -276,9 +279,6 @@ def leq_report(h: StateLike, other: StateLike, tol: float = ORDER_TOL) -> LeqRep
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     B, n = a.shape
     comp_ok = bool((b >= a - tol).all())
-    if n == 1:
-        return LeqReport(comp_ok, comp_ok, math.inf, math.inf, None)
-
     d = (_phase_diffs(b) - _phase_diffs(a)).T.tolist()
     # two-track DP: E = best prefix that stayed constant, N = best prefix
     # that already dropped a level; only N-prefixes can end admissibly.

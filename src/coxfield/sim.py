@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from .mfode import PolicyModel
+from .mfode import PolicyModel, _set_integer
 from .order import StateLike, _as_h, _tail_sums
 
 _BLOCK = 1 << 16
@@ -74,10 +74,9 @@ class SimConfig:
     def __post_init__(self):
         if self.model.B is None:
             raise ValueError("simulation needs a finite buffer size")
-        if self.N < 1:
-            raise ValueError(f"need N >= 1 servers, got {self.N}")
-        if self.replications < 1:
-            raise ValueError(f"need replications >= 1, got {self.replications}")
+        _set_integer(self, "N")
+        _set_integer(self, "replications")
+        _set_integer(self, "seed", low=0)
         if not math.isfinite(self.horizon):
             raise ValueError(f"need a finite horizon, got {self.horizon}")
         events = self.model.rate_bound * self.N * self.horizon

@@ -32,8 +32,13 @@ def write(path, obj):
     return str(path)
 
 
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def load(tmp_path, name):
-    return json.loads((tmp_path / name).read_text())
+    """An output file parsed as strict JSON: NaN and Infinity are errors."""
+    return json.loads((tmp_path / name).read_text(), parse_constant=_not_json)
 
 
 def model_file(tmp_path, **overrides):
@@ -84,6 +89,27 @@ def test_convert_fails_non_finite_gap(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cdf", lambda dist, t: np.full(np.shape(t), np.nan))
     src = write(tmp_path / "dist.json", HYPER)
     assert main(["convert", src, "--out", str(tmp_path)]) == 1
+    assert load(tmp_path, "convert.json")["cdf_max_gap"] is None
+
+
+@pytest.mark.parametrize("dist", [
+    {"kind": "hyperexp", "weights": [1.0], "rates": [2.0]},
+    {"kind": "coxian", "rates": [2.0], "continuations": [0.0]},
+])
+def test_convert_one_phase_margin_is_null(tmp_path, dist):
+    # the one-phase class margin is +inf, which JSON cannot hold
+    src = write(tmp_path / "dist.json", dist)
+    assert main(["convert", src, "--out", str(tmp_path)]) == 0
+    check = load(tmp_path, "convert.json")["class"]
+    assert check == {"is_member": True, "margin": None, "boundary": False}
+
+
+def test_write_json_writes_non_finite_numbers_as_null(tmp_path):
+    path = tmp_path / "out.json"
+    cli._write_json(path, {"a": [1.5, math.inf, -math.inf], "b": np.array([math.nan, 2.0]),
+                           "c": (np.float64(math.nan), np.int64(3)), "d": np.float64(0.25)})
+    assert load(tmp_path, "out.json") == {"a": [1.5, None, None], "b": [None, 2.0],
+                                          "c": [None, 3], "d": 0.25}
 
 
 @pytest.mark.parametrize("dist", [
@@ -242,6 +268,21 @@ def test_integrate_inits(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_integrate_without_buffer_size(tmp_path):
+    # a model without B integrates a state file at the state's B; from
+    # 'empty' or 'full' there is no B to build the state on
+    src = model_file(tmp_path, B=None)
+    args = ["integrate", src, "--t-final", "0", "--out", str(tmp_path)]
+    for init in ("empty", "full"):
+        assert main(args + ["--init", init]) == 2
+        assert "finite B" in load(tmp_path, "manifest.json")["error"]
+    state = write(tmp_path / "state.json", state_to_dict(cf.full_state(3, 2)))
+    assert main(args + ["--init", state]) == 0
+    assert load(tmp_path, "manifest.json")["inputs"]["model"]["B"] == 3
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert [float(v) for v in lines[1].split(",")] == [0.0] + [1.0] * 6
+
+
 def test_integrate_rejects_bad_samples_and_step_flag(tmp_path):
     args = ["integrate", model_file(tmp_path), "--t-final", "5", "--out", str(tmp_path)]
     assert main(args + ["--samples", "0"]) == 2
@@ -367,7 +408,8 @@ def test_tolerance_is_used_as_given(tmp_path):
 #: (command, option) values the CLI used to accept and never read
 UNREAD_OPTIONS = [
     *[[command, "X.json", "--seed", "1"] for command in ("convert", "fixed-point")],
-    ["fit", "--m1", "1", "--n2", "2.5", "--n3", "4.2", "--seed", "1"],
+    *[["fit", "--m1", "1", "--n2", "2.5", "--n3", "4.2", option, "1"]
+      for option in ("--seed", "--tol")],
     *[["integrate", "X.json", "--t-final", "1", option, "1"]
       for option in ("--seed", "--tol")],
     ["simulate", "X.json", "--tol", "1"],

@@ -7,6 +7,7 @@ weights.  Library results must match those, never each other.
 """
 
 import hashlib
+import inspect
 import math
 from fractions import Fraction
 
@@ -261,7 +262,9 @@ def test_membership_boundary_and_rejection():
     check = cf.has_decreasing_completion_rates(flat)
     assert check.is_member and check.boundary and check.margin == 0.0
     single = cf.CoxianDistribution((1.0,), (0.0,))
-    assert cf.has_decreasing_completion_rates(single).is_member
+    assert cf.has_decreasing_completion_rates(single) == cf.CompletionRateCheck(
+        True, math.inf, False
+    )
 
 
 def test_remaining_times_increase(rng):
@@ -373,6 +376,15 @@ def test_fit_near_rate_ties():
         assert got.n3 == pytest.approx(tri.n3, rel=1e-12)
 
 
+def test_fit_rejects_the_region_boundary(rng):
+    # on n3 = 1.5 n2 one branch mean collapses to zero, and fit_hyperexp2
+    # takes no slack that could let such a target through
+    assert list(inspect.signature(cf.fit_hyperexp2).parameters) == ["target"]
+    for n2 in rng.uniform(2.0, 50.0, 200):
+        with pytest.raises(ValueError, match="1.5"):
+            cf.fit_hyperexp2(cf.MomentTriple(1.0, n2, 1.5 * n2))
+
+
 def test_fit_rejects_outside_region():
     for n2, n3 in ((2.5, 3.6), (1.9, 6.0), (3.0, 4.5), (2.5, 3.75)):
         with pytest.raises(ValueError):
@@ -450,6 +462,35 @@ def test_validation_messages():
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: cf.CoxianDistribution((), ()), "got 0 continuations for 0 rates"),
+    (lambda: cf.CoxianDistribution((1.0, 2.0), (0.0,)), "got 1 continuations for 2 rates"),
+    (lambda: cf.HyperExponential((0.5, 0.5), (1.0,)), "got 2 weights for 1 rates"),
+    (lambda: cf.HyperExponential((), ()), "got 0 weights for 0 rates"),
+    (lambda: cf.SignedMixture((1.0,), (1.0, 2.0)), "got 1 weights for 2 rates"),
+    (lambda: cf.CoxianDistribution((INF,), (0.0,)), "rates must be positive and finite"),
+    (lambda: cf.HyperExponential((1.0,), (0.0,)), "rates must be positive and finite"),
+    (lambda: cf.SignedMixture((1.0,), (NAN,)), "rates must be positive and finite"),
+    (lambda: cf.SignedMixture((2.0, -1.0), (1.0, INF)), "rates must be positive and finite"),
+    (lambda: cf.MomentTriple(1.0, 0.5, 2.0), "must be >= 1"),
+    (lambda: cf.MomentTriple(1.0, 2.0, 0.5), "must be >= 1"),
+])
+def test_shape_and_rate_rejections(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_fields_are_stored_as_float_tuples():
+    cox = cf.CoxianDistribution([2, 1], np.array([0.5, 0]))
+    hyper = cf.HyperExponential(np.array([0.25, 0.75]), [4, 1])
+    mix = cf.SignedMixture([2, -1], (1, 2))
+    for fields in ((cox.rates, cox.continuations), (hyper.weights, hyper.rates),
+                   (mix.weights, mix.rates)):
+        for values in fields:
+            assert type(values) is tuple and all(type(v) is float for v in values)
+    assert (cox.rates, cox.continuations) == ((2.0, 1.0), (0.5, 0.0))
 
 
 @pytest.mark.parametrize("make", [

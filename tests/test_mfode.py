@@ -235,6 +235,25 @@ def test_model_validation(balanced_service):
             cf.PolicyModel(kind="pullpush", lam=0.5, service=balanced_service, r=r)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("B", math.inf), ("B", math.nan), ("B", 2.5), ("B", 0), ("B", "3"),
+    ("d", math.inf), ("d", math.nan), ("d", 1.5), ("K", math.inf), ("K", math.nan),
+    ("K", 0),
+])
+def test_model_integer_fields_are_checked(field, value, balanced_service):
+    fields = dict(kind="batchjsq", lam=0.3, service=balanced_service, B=5, d=3, K=2)
+    with pytest.raises(ValueError, match=f"integer {field} "):
+        cf.PolicyModel(**dict(fields, **{field: value}))
+
+
+def test_model_integer_fields_are_stored_as_ints(balanced_service):
+    model = cf.PolicyModel(kind="batchjsq", lam=0.3, service=balanced_service,
+                           B=5.0, d=np.int64(3), K=2.0)
+    assert (model.B, model.d, model.K) == (5, 3, 2)
+    assert all(type(v) is int for v in (model.B, model.d, model.K))
+    assert cf.fixed_point(model).pi.B == 5
+
+
 def test_model_from_dict_numbers(balanced_service):
     base = model_to_dict(
         cf.PolicyModel(kind="batchjsq", lam=0.3, service=balanced_service, B=9, d=3, K=2)
@@ -573,6 +592,13 @@ def test_fixed_point_auto_buffer_doubles(balanced_service):
     assert fp.stats.drift_calls > direct.stats.drift_calls
 
 
+def test_fixed_point_auto_buffer_runs_out(balanced_service, monkeypatch):
+    monkeypatch.setattr(mfode, "_AUTO_BUFFERS", (16, 32))
+    model = cf.PolicyModel(kind="pullpush", lam=0.9, r=0.0, service=balanced_service)
+    with pytest.raises(cf.FixedPointError, match="tail mass still above 1e-10 at B=32"):
+        cf.fixed_point(model)
+
+
 def test_fixed_point_rejects_invalid_iterates():
     # a stable load with a high-variance service (SCV about 10): from the
     # empty state one continuation step overshoots the state space
@@ -653,6 +679,22 @@ def test_monotonicity_report_requires_initial_order(balanced_service, rng):
     hi = cf.zero_state(6, 2)
     with pytest.raises(ValueError, match="ordered"):
         cf.monotonicity_report(model, lo, hi, T=1.0)
+
+
+def test_monotonicity_report_rejects_mismatched_shapes(balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        cf.monotonicity_report(model, np.zeros((2, 5, 2)), np.ones((3, 5, 2)), T=1.0)
+
+
+@pytest.mark.parametrize("L", [0, 6])
+def test_lyapunov_functionals_reject_levels_out_of_range(L, balanced_service, rng):
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
+    h = cf.random_state(5, 2, rng)
+    with pytest.raises(ValueError, match="need 1 <= L <= B"):
+        cf.lyapunov_values(h, balanced_service, L=L)
+    with pytest.raises(ValueError, match="need 1 <= L <= B"):
+        cf.lyapunov_rates(model, h, L=L)
 
 
 @pytest.mark.parametrize("report", ["monotonicity", "attraction", "lyapunov"])

@@ -7,6 +7,7 @@ of ``verify order-oracle``).
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 import coxfield as cf
 from coxfield.cli import SchemaError, _leq_enumerate, state_from_dict, state_to_dict
-from coxfield.order import ORDER_TOL, _as_h, _cell_diffs, _phase_diffs, _tail_sums
+from coxfield.order import (
+    ORDER_TOL, _as_h, _cell_diffs, _leq_arrays, _phase_diffs, _tail_sums,
+)
 
 
 def random_pair(rng, B, n, recipe):
@@ -142,6 +145,31 @@ def test_empty_raw_states_are_rejected(call, shape):
         call(np.zeros(shape))
 
 
+@pytest.mark.parametrize("h, message", [
+    (np.zeros(3), r"state must be a \(B, n\) array"),
+    (np.zeros((2, 3, 1)), r"state must be a \(B, n\) array"),
+    (np.array([[0.5, np.nan]]), "finite"),
+    (np.array([[np.inf]]), "finite"),
+])
+def test_mean_field_state_rejects_bad_arrays(h, message):
+    with pytest.raises(ValueError, match=message):
+        cf.MeanFieldState(h)
+
+
+@pytest.mark.parametrize("call", [cf.leq, cf.leq_report])
+def test_order_rejects_mismatched_shapes(call, rng):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        call(cf.random_state(3, 2, rng), cf.random_state(3, 3, rng))
+
+
+def test_level_phase_mass_needs_a_drop(rng):
+    h = cf.random_state(4, 3, rng)
+    assert cf.level_phase_mass(h, (3, 2, 2)) >= 0
+    for levels in ((2, 2, 2), (1, 1, 1)):
+        with pytest.raises(ValueError, match="first level must exceed the last"):
+            cf.level_phase_mass(h, levels)
+
+
 def test_empty_stack_of_states_is_allowed():
     assert _as_h(np.zeros((0, 3, 2)), batch=True).shape == (0, 3, 2)
     with pytest.raises(ValueError, match="stack"):
@@ -223,6 +251,26 @@ def test_single_phase_order_is_componentwise(rng):
     states = cf.integrate(model, np.stack([lo, hi]), 2.0, samples=5).states
     gaps = (states[:, 1] - states[:, 0]).min(axis=(-2, -1)).min(axis=0)
     assert report.ok and report.pair_margins.tobytes() == gaps.tobytes()
+
+
+def test_single_phase_report_is_componentwise(rng):
+    # with n = 1 every level sequence is constant: the report's min_gap is
+    # the smallest componentwise gap, leq's DP value, and there is no
+    # admissible sequence to bear a witness
+    pairs = [(np.array([[0.5], [0.2]]), np.array([[0.7], [0.25]]))]
+    for k in range(30):
+        a = cf.random_state(5, 1, rng).h
+        b = np.clip(a + rng.uniform(-1e-3 * (k % 3), 1e-3, a.shape), 0.0, 1.0)
+        pairs.append((a, b))
+    for a, b in pairs:
+        for tol in (ORDER_TOL, 0.0):
+            report = cf.leq_report(a, b, tol)
+            ok, comp_ok, dp_min = _leq_arrays(a, b, tol)
+            assert report.min_gap == dp_min == np.min(b - a)
+            want = bool((b >= a - tol).all())
+            assert report.ok == report.componentwise_ok == bool(ok) == bool(comp_ok) == want
+            assert report.nonconstant_min_gap == math.inf and report.witness is None
+    assert cf.leq_report(*pairs[0]).min_gap == pytest.approx(0.05)
 
 
 def test_upper_envelope_properties(rng):
@@ -322,5 +370,5 @@ def test_golden_order_decisions_and_reports():
         space = cf.state_space_report(probe)
         h.update(repr((space.ok, space.violations)).encode())
     assert h.hexdigest() == (
-        "315fc2bbf81a2170083b8c3374ae967ea2881c00cbadaf369f978bc325949c7c"
+        "f0b1eb535b5f666acf29751f39cc98094def7591a6207c08d6c58b39d2dd9dae"
     )

@@ -8,6 +8,7 @@ comparison contract.
 """
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -271,6 +272,25 @@ def test_config_validation(balanced_service):
     unbounded = cf.PolicyModel(kind="jsq", lam=0.5, service=balanced_service, d=2)
     with pytest.raises(ValueError, match="buffer"):
         cf.SimConfig(model=unbounded, N=5, horizon=10.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("N", 2.5), ("N", math.inf), ("N", math.nan), ("replications", 2.5),
+    ("replications", math.inf), ("seed", 1.5), ("seed", -1), ("seed", None),
+])
+def test_config_integer_fields_are_checked(field, value, balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.5, service=balanced_service, B=4, d=2)
+    fields = dict(model=model, N=5, horizon=10.0, warmup=1.0)
+    with pytest.raises(ValueError, match=f"integer {field} "):
+        cf.SimConfig(**dict(fields, **{field: value}))
+
+
+def test_config_integer_fields_are_stored_as_ints(balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.5, service=balanced_service, B=4, d=2)
+    config = cf.SimConfig(model=model, N=5.0, horizon=2.0, warmup=1.0,
+                          replications=2.0, seed=np.int64(3))
+    assert all(type(v) is int for v in (config.N, config.replications, config.seed))
+    assert cf.replicate(config).replications == 2
 
 
 def test_comparison_contract():
