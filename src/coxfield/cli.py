@@ -172,15 +172,13 @@ def model_to_dict(model: PolicyModel) -> dict:
 
 
 def model_from_dict(data) -> PolicyModel:
-    """Build a model from its JSON dict; hyperexp services are converted."""
+    """Build a model from its JSON dict; PolicyModel converts hyperexp services."""
     policy = _object(data, "model").get("policy")
     if not isinstance(policy, str) or policy not in POLICY_FIELDS:
         raise SchemaError(f"model policy must be one of {sorted(POLICY_FIELDS)}, "
                           f"got {policy!r}")
     lam = _field(data, "lambda", "model", required=True)
     service = distribution_from_dict(_object(data.get("service"), "model service"))
-    if not isinstance(service, CoxianDistribution):
-        service = hyperexp_to_coxian(service)
     B, d, K = (_field(data, key, "model", integer=True) for key in "BdK")
     r = _field(data, "r", "model")
     return PolicyModel(kind=policy, lam=lam, service=service, B=B, d=d, K=K, r=r)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import linalg
 
 #: relative gap under which two rates are considered duplicates (rejected
 #: where the partial-fraction algebra needs distinct rates)
@@ -458,6 +457,7 @@ def _phase_grid_many(dists: Sequence[Distribution], ts: np.ndarray):
     phase count, and one batched ``expm`` per group covers every member and
     every distinct gap.
     """
+    from scipy import linalg  # on first use: ``import coxfield`` loads no scipy
     ts = np.asarray(ts, dtype=float)
     if not np.all(ts >= 0):
         raise ValueError("times must be nonnegative and not NaN")

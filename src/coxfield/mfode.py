@@ -39,9 +39,9 @@ member.  It is the one flow: the certificates take their states from
 it.  Fixed points are found by pseudo-transient continuation from the
 empty state, or from the full state when the load lam K is at least 1:
 backward-Euler steps (I/tau - J) delta = f(h) on the full
-(B n)-dimensional drift, with J a one-shot batched finite-difference
-Jacobian and the pseudo-time step tau growing as the drift falls, until
-the step is plain Newton.
+(B n)-dimensional drift, with J the exact Jacobian, a complex step on
+3 n + 1 coloured probes, and the pseudo-time step tau growing as the
+drift falls, until the step is plain Newton.
 The fixed point is unique and attracts every valid state, so a valid
 state with zero drift is it; iterates that leave the state space are
 rejected with a smaller tau rather than clipped.
@@ -62,14 +62,16 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dist import (
     CoxianDistribution,
+    HyperExponential,
     has_decreasing_completion_rates,
+    hyperexp_to_coxian,
     moments,
     remaining_service_times,
 )
@@ -119,19 +121,22 @@ class IntegrationError(RuntimeError):
     """Raised when a trajectory leaves the state space beyond tolerance."""
 
 
-def _set_integer(obj, name: str, low: int = 1) -> int:
-    """Store field ``name`` of a frozen dataclass as an int >= ``low``.
-
-    An integer value such as 2.0 counts; anything else (2.5, inf, NaN,
-    None, a string) raises a ValueError naming the field.
+def _integer(name: str, value, low: int = 1) -> int:
+    """``value`` as an int >= ``low``: 2.0 counts, while 2.5, inf, NaN, None
+    or a string raise a ValueError naming ``name``.
     """
-    value = getattr(obj, name)
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value or whole < low:
         raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
+    return whole
+
+
+def _set_integer(obj, name: str, low: int = 1) -> int:
+    """Store field ``name`` of a frozen dataclass as ``_integer`` checks it."""
+    whole = _integer(name, getattr(obj, name), low)
     object.__setattr__(obj, name, whole)
     return whole
 
@@ -141,9 +146,10 @@ class PolicyModel:
     """A load-balancing policy with its rates and service distribution.
 
     ``kind`` is one of "jsq" (needs d), "pullpush" (needs r), "batchjsq"
-    (needs K <= d); other fields are ignored.  ``service`` must have unit
-    mean and nonincreasing completion rates; both are structural
-    requirements of the ODE family and violations raise.  Instability
+    (needs K <= d); other fields are ignored.  ``service`` is a Coxian, or
+    a hyperexponential, which is stored converted to its Coxian form; it
+    must have unit mean and nonincreasing completion rates, both structural
+    requirements of the ODE family; violations raise.  Instability
     (``load`` = lam K >= 1, with K = 1 unless batched) only warns: with a
     finite buffer the dynamics stay well defined.  ``B=None`` requests
     automatic buffer growth in fixed_point.
@@ -164,6 +170,13 @@ class PolicyModel:
             raise ValueError(f"arrival rate must be positive, got {self.lam!r}")
         if self.B is not None:
             _set_integer(self, "B")
+        if isinstance(self.service, HyperExponential):
+            object.__setattr__(self, "service", hyperexp_to_coxian(self.service))
+        elif not isinstance(self.service, CoxianDistribution):
+            raise TypeError(
+                "service must be a CoxianDistribution or a HyperExponential, "
+                f"got {type(self.service).__name__}"
+            )
         m1 = moments(self.service, 1)
         if abs(m1 - 1.0) > _UNIT_MEAN_TOL:
             raise ValueError(f"service must have unit mean, got {m1!r}")
@@ -324,10 +337,23 @@ class _DriftTerms:
         return out
 
 
+def _model_states(model: PolicyModel, h: StateLike) -> np.ndarray:
+    """The (..., B, n) array of h; a ValueError names both shapes unless
+    (B, n) is the model's (any B when ``model.B`` is None).
+    """
+    arr = _as_h(h, batch=True)
+    if arr.shape[-1] != model.n or model.B not in (None, arr.shape[-2]):
+        raise ValueError(
+            f"state shape (B, n) = {arr.shape[-2:]} does not match the "
+            f"model's ({model.B}, {model.n})"
+        )
+    return arr
+
+
 def drift(model: PolicyModel, h: StateLike) -> np.ndarray:
-    """Full right-hand side: policy arrivals plus service drift."""
+    """Policy arrivals plus service drift at h, whose (B, n) must be the model's."""
     # one memory layout, so that each state's rows take the same products
-    return model._terms(np.ascontiguousarray(_as_h(h, batch=True)))
+    return model._terms(np.ascontiguousarray(_model_states(model, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +616,8 @@ def integrate(
         )
     if samples < 1:
         raise ValueError(f"need at least one sample after the start, got {samples!r}")
-    h = np.array(_as_h(h0, batch=True), dtype=float, copy=True)
+    samples = _integer("samples", samples)
+    h = np.array(_model_states(model, h0), dtype=float, copy=True)
     stack = h.reshape((-1,) + h.shape[-2:])
     margins = _margins(stack)
     bad = np.flatnonzero(~(margins >= -_ITERATE_TOL))
@@ -604,7 +631,7 @@ def integrate(
     if T == 0:
         times, out, counts = np.zeros(1), stack[None], (0, 0, 0, 0, margin)
     else:
-        times = np.linspace(0.0, T, int(samples) + 1)
+        times = np.linspace(0.0, T, samples + 1)
         if not (np.diff(times) > 0).all():
             raise ValueError(f"horizon {T!r} has no {samples} distinct sample times")
         out, counts = _integrate_adaptive(model, stack, times, margin)
@@ -655,116 +682,124 @@ _TAU_START = 1.0
 #: pseudo-time step below which the continuation gives up
 _TAU_FLOOR = 1e-9
 
-_FD_EPS = 1e-7
+#: continuation steps, accepted or rejected, one buffer may take
+NEWTON_MAX = 200
+
+#: imaginary step of the complex-step Jacobian, Im f(h + i e) / e
+_CS_STEP = 1e-100
+
+
+@lru_cache(maxsize=8)
+def _colouring(B: int, n: int, pull: bool) -> tuple:
+    """Curtis-Powell-Reid colours of J, whose level l reads levels l - 1 to
+    l + 1 and the pull's h_{1,1}: column (l, j) is in probe (l mod 3) n + j,
+    a pull's h_{1,1} in probe 3 n, and row (L, i) keeps levels L - 1 to L + 1.
+    """
+    level = np.arange(B * n) // n
+    colour = level % 3 * n + np.arange(B * n) % n
+    near = abs(level[:, None] - level) <= 1
+    if pull:
+        colour[0], near[:, 0] = 3 * n, True
+    probes = _CS_STEP * 1j * (colour == np.arange(colour.max() + 1)[:, None])
+    colour.flags.writeable = near.flags.writeable = probes.flags.writeable = False
+    return colour, near, probes.reshape(-1, B, n)
+
+
+def _jacobian(model: PolicyModel, h: np.ndarray) -> np.ndarray:
+    """The drift's exact Jacobian at h (B, n) from 3 n + 1 complex probes."""
+    B, n = h.shape
+    colour, near, probes = _colouring(B, n, bool(model.arrival[2]))
+    out = model._terms(h + probes).imag / _CS_STEP  # drift() casts to float
+    return np.where(near, out.reshape(-1, B * n)[colour].T, 0.0)
 
 
 def fixed_point(
     model: PolicyModel,
     drift_tol: float = PRE_NEWTON_DRIFT,
     residual_tol: float = FIXED_POINT_RESIDUAL,
-    newton_max: int = 200,
 ) -> FixedPointResult:
     """Locate the fixed point by pseudo-transient continuation.
 
     Each step solves (I/tau - J) delta = f(h) and moves to h + delta: a
-    backward-Euler step of pseudo-time tau along the ODE, with J the
-    one-shot batched finite-difference Jacobian at h.  tau grows by
-    switched evolution relaxation, tau <- tau |f_old| / |f_new| (sup
-    norms).  Once the sup drift is at most ``drift_tol`` the 1/tau shift
-    is dropped and the steps are plain Newton.  A trial iterate outside
-    the state space (tolerance 1e-8) is rejected and tau divided by 4, so
-    small steps follow the flow, which attracts every valid state to the
-    unique fixed point.  Iterates are never clipped.
+    backward-Euler step of pseudo-time tau along the ODE, with J the exact
+    Jacobian at h (``_jacobian``).  tau grows by switched evolution
+    relaxation, tau <- tau |f_old| / |f_new| (sup norms).  Once the sup
+    drift is at most ``drift_tol`` the 1/tau shift is dropped and the steps
+    are plain Newton.  A trial iterate outside the state space (tolerance
+    1e-8) is rejected and solved again with the same J at shift 1/tau, tau
+    divided by 4, so small steps follow the flow, which attracts every
+    valid state to the unique fixed point.  Iterates are never clipped.
 
     Once the residual is at most ``residual_tol`` one more plain Newton
     step polishes pi down to rounding level; it counts as an ordinary
-    step.  ``newton_max`` bounds the steps taken, accepted or rejected.
-    Stable loads start from the empty state and take about 8 to 26 steps.
-    Overloaded models (``model.load`` >= 1) start from the full state, next
-    to their nearly full fixed point: from empty their queues would fill
-    level by level at one to two steps a level.  The returned pi has
-    residual at most ``residual_tol`` and passes ``state_space_report`` at
-    its default tolerance.  With ``B=None`` the buffer doubles from 16,
-    each size solved afresh, until the top level's tail mass drops below
-    1e-10, emulating an infinite buffer.
-    Raises FixedPointError (with the residual history) when tau falls
-    below 1e-9 or the steps run out, which in practice flags loads at
-    the edge of stability.
+    step.  Each buffer takes at most NEWTON_MAX steps, accepted or
+    rejected.  Stable loads start from the empty state and take about 8 to
+    26 steps.  Overloaded models (``model.load`` >= 1) start from the full
+    state, next to their nearly full fixed point: from empty their queues
+    would fill level by level at one to two steps a level.  The returned
+    pi has residual at most ``residual_tol`` and passes
+    ``state_space_report`` at its default tolerance.  With ``B=None`` the
+    buffer doubles from 16, each size solved afresh, until the top level's
+    tail mass drops below 1e-10, emulating an infinite buffer.  Raises
+    FixedPointError (with the residual history) when tau falls below 1e-9
+    or the steps run out, which in practice flags loads at the edge of
+    stability.
     """
     started = time.perf_counter()
-    if model.B is None:
-        calls = accepted = rejected = 0
-        for tried, B in enumerate(_AUTO_BUFFERS, 1):
-            result = fixed_point(
-                model.with_buffer(B), drift_tol, residual_tol, newton_max
-            )
-            calls += result.stats.drift_calls
-            accepted += result.stats.accepted_steps
-            rejected += result.stats.rejected_steps
-            if result.pi.h[-1, 0] < TAIL_MASS_TOL:
-                wall = time.perf_counter() - started
-                stats = SolverStats(calls, accepted, rejected, tried, wall)
-                return replace(result, stats=stats)
-        raise FixedPointError(
-            f"tail mass still above {TAIL_MASS_TOL} at B={_AUTO_BUFFERS[-1]}"
-        )
-
-    B, n = model.B, model.n
-    size = B * n
-    eye = np.eye(size)
-    h = (full_state if model.load >= 1 else zero_state)(B, n).h
-    fval = drift(model, h)
-    sup = float(np.max(np.abs(fval)))
-    history = [sup]
-    calls, accepted, rejected = 1, 0, 0
-    tau = _TAU_START
-    jac = None
-    retry = False
-    polished = False
-    while sup > residual_tol or not polished:
-        if accepted + rejected >= newton_max:
-            raise FixedPointError(
-                f"no convergence in {newton_max} continuation steps "
-                f"(residual {sup:.3e}); model may be near instability",
-                history,
-            )
-        if jac is None:
-            probe = h[None] + _FD_EPS * eye.reshape(size, B, n)
-            jac = (drift(model, probe) - fval).reshape(size, size).T / _FD_EPS
-            calls += 1
-        shift = 0.0 if sup <= drift_tol and not retry else 1.0 / tau
-        try:
-            step = np.linalg.solve(shift * eye - jac, fval.ravel())
-        except np.linalg.LinAlgError:
-            step = np.full(size, np.nan)
-        trial = h + step.reshape(B, n)
-        if not _margins(trial) >= -_ITERATE_TOL:  # a NaN margin fails too
-            rejected += 1
-            retry = True
-            tau /= 4.0
-            if tau < _TAU_FLOOR:
-                raise FixedPointError(
-                    f"continuation step fell below {_TAU_FLOOR:g} "
-                    f"at residual {sup:.3e}",
-                    history,
-                )
-            continue
-        trial_f = drift(model, trial)
+    calls = accepted = rejected = 0
+    for tried, B in enumerate(_AUTO_BUFFERS if model.B is None else (model.B,), 1):
+        h = (full_state if model.load >= 1 else zero_state)(B, model.n).h
+        eye = np.eye(h.size)
+        fval = drift(model, h)
+        sup = float(np.max(np.abs(fval)))
+        history = [sup]
         calls += 1
-        trial_sup = float(np.max(np.abs(trial_f)))
-        tau *= sup / max(trial_sup, np.finfo(float).tiny)
-        polished = sup <= residual_tol
-        h, fval, sup = trial, trial_f, trial_sup
-        jac = None
-        retry = False
-        accepted += 1
-        history.append(sup)
-
-    if not _margins(h) >= -OMEGA_TOL:
-        shown = state_space_report(h).violations[0]
-        raise FixedPointError(f"solver state violates {shown}", history)
-    stats = SolverStats(calls, accepted, rejected, 1, time.perf_counter() - started)
-    return FixedPointResult(MeanFieldState(h), sup, accepted, tuple(history), stats)
+        first = accepted + rejected  # this buffer's steps count from here
+        tau, polished = _TAU_START, False
+        while sup > residual_tol or not polished:
+            jac = _jacobian(model, h)
+            calls += 1
+            shift = 0.0 if sup <= drift_tol else 1.0 / tau
+            while True:
+                if accepted + rejected - first >= NEWTON_MAX:
+                    raise FixedPointError(
+                        f"no convergence in {NEWTON_MAX} continuation steps "
+                        f"(residual {sup:.3e}); model may be near instability",
+                        history,
+                    )
+                try:
+                    step = np.linalg.solve(shift * eye - jac, fval.ravel())
+                except np.linalg.LinAlgError:
+                    step = np.full(h.size, np.nan)
+                trial = h + step.reshape(h.shape)
+                if _margins(trial) >= -_ITERATE_TOL:  # a NaN margin fails
+                    break
+                rejected += 1
+                tau /= 4.0
+                if tau < _TAU_FLOOR:
+                    raise FixedPointError(
+                        f"continuation step fell below {_TAU_FLOOR:g} "
+                        f"at residual {sup:.3e}",
+                        history,
+                    )
+                shift = 1.0 / tau
+            trial_f = drift(model, trial)
+            calls += 1
+            trial_sup = float(np.max(np.abs(trial_f)))
+            tau *= sup / max(trial_sup, np.finfo(float).tiny)
+            polished = sup <= residual_tol
+            h, fval, sup = trial, trial_f, trial_sup
+            accepted += 1
+            history.append(sup)
+        if not _margins(h) >= -OMEGA_TOL:
+            shown = state_space_report(h).violations[0]
+            raise FixedPointError(f"solver state violates {shown}", history)
+        if model.B is not None or h[-1, 0] < TAIL_MASS_TOL:
+            wall = time.perf_counter() - started
+            stats = SolverStats(calls, accepted, rejected, tried, wall)
+            pi = MeanFieldState(h)
+            return FixedPointResult(pi, sup, len(history) - 1, tuple(history), stats)
+    raise FixedPointError(f"tail mass still above {TAIL_MASS_TOL} at B={B}")
 
 
 @dataclass(frozen=True)
@@ -841,7 +876,8 @@ def _chunks(run, count: int, size: int, members: int, samples: int) -> tuple:
 
 def _starts_and_fixed_point(model: PolicyModel, starts) -> tuple:
     """``starts`` as an (M, B, n) stack, and the fixed point for buffer B."""
-    starts = np.asarray(starts, dtype=float).reshape((-1,) + np.shape(starts)[-2:])
+    starts = _model_states(model, starts)
+    starts = starts.reshape((-1,) + starts.shape[-2:])
     if not len(starts):
         raise ValueError("need at least one start")
     fixed = model if model.B is not None else model.with_buffer(starts.shape[-2])
@@ -859,6 +895,7 @@ def lyapunov_values(h: StateLike, service: CoxianDistribution, L: int = 1):
     arr = _as_h(h, batch=True)
     if not 1 <= L <= arr.shape[-2]:
         raise ValueError(f"need 1 <= L <= B, got L={L}")
+    L = _integer("L", L)
     rem = remaining_service_times(service)
     z1 = arr[..., L - 1 :, 0].sum(axis=-1)
     z2 = _dots(arr[..., 0, 1:], np.diff(rem))
@@ -874,9 +911,10 @@ def lyapunov_rates(model: PolicyModel, h: StateLike, L: int = 1):
     the completions at length exactly L leave it.  Broadcasts over leading
     batch axes of ``h`` like ``lyapunov_values``.
     """
-    arr = _as_h(h, batch=True)
+    arr = _model_states(model, h)
     if not 1 <= L <= arr.shape[-2]:
         raise ValueError(f"need 1 <= L <= B, got L={L}")
+    L = _integer("L", L)
     terms = model._terms
     top = terms.lam_K if L == 1 else _poly(arr[..., L - 2, 0], terms.overflow)
     arrivals = top - _poly(arr[..., -1, 0], terms.overflow)
@@ -964,6 +1002,7 @@ def monotonicity_report(
     ordered at t=0; the margin is the most negative componentwise or
     sequence-functional gap; ``violation_pair`` indexes the flat stack.
     """
+    samples = _integer("samples", samples)
     a, b = _as_h(lo, batch=True), _as_h(hi, batch=True)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")

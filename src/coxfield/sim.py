@@ -43,7 +43,6 @@ from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .mfode import PolicyModel, _set_integer
 from .order import StateLike, _as_h, _tail_sums
@@ -324,6 +323,7 @@ def _pool(config: SimConfig, results: list) -> StationaryEstimate:
     per = np.stack([_estimate_from_dwell(config, dwell) for dwell in dwells])
     h_bar = per.mean(axis=0)
     if R > 1:
+        from scipy import special  # on first use: ``import coxfield`` loads no scipy
         spread = per.std(axis=0, ddof=1) / math.sqrt(R)
         half = float(special.stdtrit(R - 1, 0.975)) * spread
     else:

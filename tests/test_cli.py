@@ -476,9 +476,10 @@ def test_readme_names_every_option():
         assert set(re.findall(r"--[\w-]+", lines[0])) == _options(parser), name
 
 
-def test_import_loads_no_cli_and_no_scipy_stats_integrate_or_optimize():
-    heavy = {"coxfield.cli", "scipy.stats", "scipy.integrate", "scipy.optimize"}
-    code = f"import sys, coxfield; print(sorted({heavy!r} & set(sys.modules)))"
+def test_import_loads_no_cli_and_no_scipy():
+    # scipy loads on the first cdf/pdf/hazard call or pooled replication
+    code = ("import sys, coxfield; print(sorted(m for m in sys.modules "
+            "if m == 'coxfield.cli' or m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(cf.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

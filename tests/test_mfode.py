@@ -254,6 +254,19 @@ def test_model_integer_fields_are_stored_as_ints(balanced_service):
     assert cf.fixed_point(model).pi.B == 5
 
 
+def test_model_converts_a_hyperexponential_service(balanced_service):
+    hyper = cf.HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))
+    model = cf.PolicyModel(kind="jsq", lam=0.5, service=hyper, B=3, d=2)
+    assert model.service == balanced_service
+    assert model == cf.PolicyModel(kind="jsq", lam=0.5, service=balanced_service, B=3, d=2)
+    assert cf.fixed_point(model).residual <= 1e-12
+    mixture = cf.coxian_to_mixture(balanced_service)
+    for service in (mixture, (1.0,), None):
+        with pytest.raises(TypeError, match="CoxianDistribution or a HyperExponential, "
+                           f"got {type(service).__name__}"):
+            cf.PolicyModel(kind="jsq", lam=0.5, service=service, B=3, d=2)
+
+
 def test_model_from_dict_numbers(balanced_service):
     base = model_to_dict(
         cf.PolicyModel(kind="batchjsq", lam=0.3, service=balanced_service, B=9, d=3, K=2)
@@ -360,6 +373,10 @@ def test_integrate_rejects_bad_horizon_and_samples(balanced_service):
     for samples in (0, -2):
         with pytest.raises(ValueError, match="at least one sample"):
             cf.integrate(model, np.zeros((4, 2)), 1.0, samples=samples)
+    for samples in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="integer samples >= 1"):
+            cf.integrate(model, np.zeros((4, 2)), 1.0, samples=samples)
+    assert len(cf.integrate(model, np.zeros((4, 2)), 1.0, samples=2.0).times) == 3
     # linspace(0, 5e-324, 4) is (0, 0, 5e-324, 5e-324)
     with pytest.raises(ValueError, match="no 3 distinct sample times"):
         cf.integrate(model, np.zeros((4, 2)), 5e-324, samples=3)
@@ -568,10 +585,11 @@ def test_fixed_point_auto_buffer(balanced_service):
 
 
 def test_fixed_point_stats_count_drift_calls(balanced_service, monkeypatch):
-    from coxfield import mfode
-
+    # a Jacobian is one batched call of the compiled drift, not of drift()
     calls = []
-    monkeypatch.setattr(mfode, "drift", lambda m, h: calls.append(1) or drift(m, h))
+    call = mfode._DriftTerms.__call__
+    monkeypatch.setattr(mfode._DriftTerms, "__call__",
+                        lambda terms, h: calls.append(1) or call(terms, h))
     model = cf.PolicyModel(kind="pullpush", lam=0.5, r=1.0, service=balanced_service, B=10)
     fp = cf.fixed_point(model)
     stats = fp.stats
@@ -633,11 +651,52 @@ def test_fixed_point_matches_single_queue_ctmc(balanced_service):
     assert np.abs(fp.pi.h - queue).max() <= 1e-13
 
 
-def test_fixed_point_step_limit(balanced_service):
+def test_fixed_point_step_limit(balanced_service, monkeypatch):
+    monkeypatch.setattr(mfode, "NEWTON_MAX", 1)
     model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=10, d=2)
-    with pytest.raises(cf.FixedPointError, match="continuation steps") as info:
-        cf.fixed_point(model, newton_max=1)
+    with pytest.raises(cf.FixedPointError, match="no convergence in 1 continuation steps") as info:
+        cf.fixed_point(model)
     assert len(info.value.history) >= 1
+
+
+JACOBIAN_SPECS = [
+    dict(kind="jsq", lam=0.9, d=2), dict(kind="jsq", lam=0.6, d=5),
+    dict(kind="pullpush", lam=0.5, r=1.0), dict(kind="pullpush", lam=0.8, r=0.0),
+    dict(kind="batchjsq", lam=0.3, d=3, K=2), dict(kind="batchjsq", lam=0.2, d=4, K=4),
+]
+
+
+@pytest.mark.parametrize("spec", JACOBIAN_SPECS, ids=lambda spec: str(spec))
+def test_jacobian_is_the_dense_complex_step(spec):
+    # the coloured probes give, bit for bit, the complex step on every unit
+    # move, and both agree with a finite difference to its own error
+    rng = np.random.default_rng(19)
+    for n in range(1, 5):
+        mus = np.array([8.0, 4.0, 2.0, 1.0])[:n]
+        weights = np.full(n, 1.0 / n)
+        service = cf.HyperExponential(tuple(weights), tuple(mus * (weights / mus).sum()))
+        for B in (1, 2, 3, 4, 7, 25):
+            model = cf.PolicyModel(service=service, B=B, **spec)
+            for _ in range(3):
+                h = cf.random_state(B, n, rng).h
+                eye = np.eye(B * n).reshape(B * n, B, n)
+                dense = model._terms(h + 1e-100j * eye).imag / 1e-100
+                dense = dense.reshape(B * n, B * n).T
+                jac = mfode._jacobian(model, h)
+                assert np.array_equal(jac, dense), (n, B)
+                fd = (drift(model, h + 1e-7 * eye) - drift(model, h)) / 1e-7
+                assert np.abs(jac - fd.reshape(B * n, B * n).T).max() <= 1e-6, (n, B)
+
+
+def test_jacobian_takes_at_most_3n_plus_1_probes(balanced_service, monkeypatch):
+    sizes = []
+    call = mfode._DriftTerms.__call__
+    monkeypatch.setattr(mfode._DriftTerms, "__call__",
+                        lambda terms, h: sizes.append(h.shape) or call(terms, h))
+    for spec, probes in ((JACOBIAN_SPECS[0], 6), (JACOBIAN_SPECS[2], 7)):
+        model = cf.PolicyModel(service=balanced_service, B=25, **spec)
+        mfode._jacobian(model, cf.zero_state(25, 2).h)
+        assert sizes.pop() == (probes, 25, 2)
 
 
 def test_structure_residual(balanced_service, rng):
@@ -685,15 +744,45 @@ def test_monotonicity_report_rejects_mismatched_shapes(balanced_service):
     model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
     with pytest.raises(ValueError, match="shape mismatch"):
         cf.monotonicity_report(model, np.zeros((2, 5, 2)), np.ones((3, 5, 2)), T=1.0)
+    for samples in (2.5, math.nan):
+        with pytest.raises(ValueError, match="integer samples >= 1"):
+            cf.monotonicity_report(model, np.zeros((5, 2)), np.ones((5, 2)), T=1.0,
+                                   samples=samples)
 
 
-@pytest.mark.parametrize("L", [0, 6])
+def test_states_of_another_shape_are_rejected(balanced_service):
+    # each used to run silently on its own shape (the attraction report
+    # broadcast its starts against the B = 10 fixed point), or die in matmul
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=10, d=2)
+    auto = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, d=2)
+    shape = "state shape \\(B, n\\) = \\({}, {}\\) does not match the model's \\({}, 2\\)"
+    calls = [
+        (lambda: cf.attraction_report(model, np.zeros((3, 1, 2)), 1.0), (1, 2, 10)),
+        (lambda: cf.integrate(model, cf.zero_state(4, 2), 1.0), (4, 2, 10)),
+        (lambda: cf.integrate(model, cf.zero_state(4, 2), 0.0), (4, 2, 10)),
+        (lambda: cf.monotonicity_report(model, np.zeros((2, 3, 2)), np.ones((2, 3, 2)),
+                                        1.0), (3, 2, 10)),
+        (lambda: cf.lyapunov_report(model, np.zeros((3, 1, 2)), 1.0), (1, 2, 10)),
+        (lambda: cf.lyapunov_rates(model, np.zeros((4, 2))), (4, 2, 10)),
+        (lambda: drift(model, np.zeros((10, 3))), (10, 3, 10)),
+        (lambda: drift(auto, np.zeros((10, 3))), (10, 3, None)),
+        (lambda: cf.integrate(auto, np.zeros((6, 1)), 1.0), (6, 1, None)),
+    ]
+    for call, shapes in calls:
+        with pytest.raises(ValueError, match=shape.format(*shapes)):
+            call()
+    # B is free when the model has none
+    assert drift(auto, np.zeros((6, 2))).shape == (6, 2)
+
+
+@pytest.mark.parametrize("L", [0, 6, 2.5])
 def test_lyapunov_functionals_reject_levels_out_of_range(L, balanced_service, rng):
+    match = "integer L >= 1" if L == 2.5 else "need 1 <= L <= B"
     model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
     h = cf.random_state(5, 2, rng)
-    with pytest.raises(ValueError, match="need 1 <= L <= B"):
+    with pytest.raises(ValueError, match=match):
         cf.lyapunov_values(h, balanced_service, L=L)
-    with pytest.raises(ValueError, match="need 1 <= L <= B"):
+    with pytest.raises(ValueError, match=match):
         cf.lyapunov_rates(model, h, L=L)
 
 
@@ -1006,19 +1095,19 @@ def test_golden_meanfield_trajectory(balanced_service):
 GOLDEN_FIXED_POINTS = {
     "jsq-0.9": (
         dict(kind="jsq", lam=0.9, B=25, d=2), False,
-        "27b4c6612d2c442de17295c096c189ca725c36f7a4bfcef2be1bca6f2dd4aaa8",
+        "1537c1f47b70ab2c3f8e52d3cef82fde32ba80e465a58b91ee2830b6df4d9437",
     ),
     "pullpush-0.5": (
         dict(kind="pullpush", lam=0.5, B=25, r=1.0), False,
-        "ae12fe10664ce14b5cbd0dbf6c2619889005a5fd00070dc3833f6216bbd494b1",
+        "2097dcf25f4809cd33ca38191afe5a5f4ed29529c1a09fa40b1cf01c923fe466",
     ),
     "batchjsq-0.3": (
         dict(kind="batchjsq", lam=0.3, B=25, d=3, K=2), False,
-        "01bebff54c0b6aac9c22b80ffbb815c1837a2b144400027524bc471db425ffef",
+        "1a68298a69eaff47a5b4267b87081bdec0b4956e26870f8d95e2f0ba054510d2",
     ),
     "jsq-exp-auto": (
         dict(kind="jsq", lam=0.9, B=None, d=2), True,
-        "f7138ad5a550c2dba758a5e211306521e1d2b4c049c4f065e04c7f540a46cc6a",
+        "952653be4827e5762f5828542c9bf11b83af2b542574adc7012dbdea63286b06",
     ),
 }
 
