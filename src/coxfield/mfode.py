@@ -27,7 +27,10 @@ The drift is compiled once per model (``_DriftTerms``).  The service part
 is linear and couples a level only to the level above it, so it is one
 (n, n) operator per level, h @ same, plus a column-1 term h_{l+1} @ below.
 The arrival part keeps lam folded into the constants of F and of its
-quadrature rule, and is added in place.
+quadrature rule, and is added in place.  The compiled drift checks
+nothing: its input must be C-contiguous and of the model's (B, n).
+``drift`` is the checked public entry; ``integrate`` checks a stack once,
+and its trials call the compiled drift directly.
 
 Integration is an error-controlled Dormand-Prince 8(5,3) method, DOP853,
 written here, batched and deterministic: each start of a stack keeps its
@@ -320,20 +323,27 @@ class _DriftTerms:
         self.below = to_diffs @ nu
 
     def __call__(self, h: np.ndarray) -> np.ndarray:
-        """The drift at a C-contiguous h (..., B, n)."""
+        """The drift at h (..., B, n), unchecked.
+
+        h must be C-contiguous and of the model's (B, n): ``drift`` is the
+        checked public entry, and ``integrate`` checks a stack once before
+        its trials call this directly on fresh stage arrays.  Each
+        exact-length mass h_{l-1} - h_l is taken once; its column 1 is the
+        gap of the slope.
+        """
         out = h @ self.same
-        out[..., :-1, 0] += h[..., 1:, :] @ self.below
-        q = h[..., 0]
-        out[..., 0, 0] += self.lam_K - _poly(q[..., 0], self.overflow)
-        x1 = q[..., 1:]
-        slope = _slope(x1, q[..., :-1] - x1, self.rule)
-        out[..., 1:, :] += (h[..., :-1, :] - h[..., 1:, :]) * slope[..., None]
+        upper = h[..., 1:, :]
+        out[..., :-1, 0] += upper @ self.below
+        out[..., 0, 0] += self.lam_K - _poly(h[..., 0, 0], self.overflow)
+        exact = h[..., :-1, :] - upper
+        slope = _slope(upper[..., 0], exact[..., 0], self.rule)
+        out[..., 1:, :] += exact * slope[..., None]
         if self.pull and h.shape[-2] > 1:
             # a pull moves a waiting job from a length >= 2 server, which keeps
             # its phase, to an idle server, which starts the job in phase 1
-            pull = self.pull * (1.0 - q[..., 0])
-            out[..., 0, 0] += pull * q[..., 1]
-            out[..., 1:, :] -= pull[..., None, None] * _cell_diffs(h[..., 1:, :])
+            pull = self.pull * (1.0 - h[..., 0, 0])
+            out[..., 0, 0] += pull * upper[..., 0, 0]
+            out[..., 1:, :] -= pull[..., None, None] * _cell_diffs(upper)
         return out
 
 
@@ -423,6 +433,11 @@ ATOL = 1e-11
 #: attract`` default is 3,800.
 MAX_HORIZON = 1e7
 
+#: Largest accepted ``samples`` of one integration.  Each sample time ends a
+#: step, so samples add steps to those MAX_HORIZON allows: with both caps a
+#: flow takes at most about 3e6 steps and holds 1e6 + 1 sampled states.
+MAX_SAMPLES = 10**6
+
 #: step-size factor after a trial that left the state space
 _INVALID_SHRINK = 0.25
 
@@ -504,12 +519,13 @@ def _dop_trial(model, y, k1, h):
     |est| / (ATOL + RTOL max(|y|, |y_new|)) for the fifth- and third-order
     estimates.
     """
+    terms = model._terms
     ks = np.empty((len(_DOP_E5),) + y.shape)
     ks[0] = k1
     for s, row in enumerate(_DOP_A, 1):
-        ks[s] = drift(model, y + h * _stage_sum(row, ks))
+        ks[s] = terms(y + h * _stage_sum(row, ks))
     y_new = y + h * _stage_sum(_DOP_B, ks)
-    ks[-1] = drift(model, y_new)
+    ks[-1] = terms(y_new)
     scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
     e5, e3 = (
         (np.abs(h * _stage_sum(e, ks)) / scale).max(axis=(-2, -1))
@@ -548,8 +564,9 @@ def _integrate_adaptive(model, h, times, margin):
     slope = drift(model, h)
     calls, accepted, rejected, invalid = 1, 0, 0, 0
     t = np.zeros(members)
-    step = np.full(members, step_bound(model))
-    floor = _STEP_FLOOR * step_bound(model)
+    bound = step_bound(model)
+    step = np.full(members, bound)
+    floor = _STEP_FLOOR * bound
     for k, target in enumerate(times[1:], 1):
         while True:
             act = np.flatnonzero(t < target)
@@ -557,8 +574,9 @@ def _integrate_adaptive(model, h, times, margin):
                 break
             sel = slice(None) if act.size == members else act
             room = target - t[sel]
-            landed = step[sel] >= room
-            trial = np.minimum(step[sel], room)
+            current = step[sel]
+            landed = current >= room
+            trial = np.minimum(current, room)
             y_new, slope_new, err = _dop_trial(
                 model, h[sel], slope[sel], trial[:, None, None]
             )
@@ -568,8 +586,8 @@ def _integrate_adaptive(model, h, times, margin):
             ok = valid & (err <= 1.0)
             growth = [_growth(e) for e in err.tolist()]
             proposal = trial * np.where(valid, growth, _INVALID_SHRINK)
-            proposal = np.where(ok & landed, np.maximum(step[sel], proposal), proposal)
-            if np.any(proposal < floor):
+            proposal = np.where(ok & landed, np.maximum(current, proposal), proposal)
+            if (proposal < floor).any():
                 bad = act[np.argmax(proposal < floor)]
                 raise IntegrationError(
                     f"step fell below {floor:.3g} at t={t[bad]:.6g} (start {bad}); "
@@ -580,9 +598,10 @@ def _integrate_adaptive(model, h, times, margin):
             h[done] = y_new[ok]
             slope[done] = slope_new[ok]
             t[done] = np.where(landed[ok], target, t[done] + trial[ok])
-            accepted += int(ok.sum())
-            rejected += int(ok.size - ok.sum())
-            invalid += int(valid.size - valid.sum())
+            good = int(np.count_nonzero(ok))
+            accepted += good
+            rejected += ok.size - good
+            invalid += valid.size - int(np.count_nonzero(valid))
             margin = min(margin, float(np.min(margins[ok], initial=np.inf)))
         out[k] = h
     return out, (accepted, rejected, invalid, calls, margin)
@@ -595,7 +614,8 @@ def integrate(
 
     The sample times include both endpoints and, for T > 0, strictly
     increase; ``T`` must be finite and nonnegative, with ``T *
-    model.rate_bound`` at most MAX_HORIZON, and ``samples`` at least 1.
+    model.rate_bound`` at most MAX_HORIZON, and ``samples`` an integer from
+    1 to MAX_SAMPLES.
     The flow is integrated by the error-controlled Dormand-Prince 8(5,3)
     method DOP853 (RTOL = ATOL = 1e-11) with one step size per start: a
     trial step whose error norm exceeds 1 or whose result leaves the state
@@ -617,7 +637,9 @@ def integrate(
     if samples < 1:
         raise ValueError(f"need at least one sample after the start, got {samples!r}")
     samples = _integer("samples", samples)
-    h = np.array(_model_states(model, h0), dtype=float, copy=True)
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"need at most {MAX_SAMPLES} samples, got {samples!r}")
+    h = np.array(_model_states(model, h0), dtype=float, copy=True, order="C")
     stack = h.reshape((-1,) + h.shape[-2:])
     margins = _margins(stack)
     bad = np.flatnonzero(~(margins >= -_ITERATE_TOL))

@@ -293,6 +293,13 @@ def test_integrate_rejects_bad_samples_and_step_flag(tmp_path):
     assert exc.value.code == 2
 
 
+def test_integrate_caps_samples(tmp_path):
+    # 10**12 samples would ask for terabytes; the cap rejects it at once
+    args = ["integrate", model_file(tmp_path), "--t-final", "1", "--out", str(tmp_path)]
+    assert main(args + ["--samples", str(10**12)]) == 1
+    assert "at most 1000000 samples" in load(tmp_path, "manifest.json")["error"]
+
+
 def test_non_finite_horizons_exit_1(tmp_path):
     # an infinite horizon used to run for ever, a NaN one to pass vacuously
     src = model_file(tmp_path)

@@ -383,6 +383,54 @@ def test_integrate_rejects_bad_horizon_and_samples(balanced_service):
     assert cf.integrate(model, np.zeros((4, 2)), 5e-324, samples=1).times[1] > 0
 
 
+def test_integrate_caps_samples_before_allocating(balanced_service):
+    # every sample ends a step, so samples are capped beside the horizon;
+    # 10**12 samples would be 8 TB of sample times
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=25, d=2)
+    lo = cf.zero_state(25, 2).h
+    tracemalloc.start()
+    try:
+        for samples in (10**12, mfode.MAX_SAMPLES + 1):
+            with pytest.raises(ValueError, match="at most 1000000 samples"):
+                cf.integrate(model, lo, 1.0, samples=samples)
+        with pytest.raises(ValueError, match="at most 1000000 samples"):
+            cf.monotonicity_report(model, lo, lo, 1.0, samples=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_compiled_drift_gets_checked_c_contiguous_states(balanced_service, monkeypatch):
+    # integrate checks a stack once and its trials call the compiled drift
+    # directly: every state reaching it is C-contiguous float64 of the
+    # model's (B, n), and each call is one counted drift call
+    seen = []
+    call = mfode._DriftTerms.__call__
+    monkeypatch.setattr(
+        mfode._DriftTerms, "__call__",
+        lambda terms, h: seen.append((h.flags.c_contiguous, h.dtype, h.shape[-2:]))
+        or call(terms, h),
+    )
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=25, d=2)
+    rng = np.random.default_rng(21)
+    hi = np.stack([cf.random_state(25, 2, rng).h for _ in range(8)])
+    wide = np.zeros((8, 25, 4))
+    wide[:, :, 1:3] = hi
+    starts = (cf.zero_state(25, 2), np.stack([0.5 * hi, hi]),
+              np.asfortranarray(hi), wide[:, :, 1:3], hi.tolist())
+    for h0 in starts:
+        seen.clear()
+        stats = cf.integrate(model, h0, 20.0, samples=10).stats
+        assert len(seen) == stats.drift_calls
+        assert set(seen) == {(True, np.dtype(float), (25, 2))}
+        rounds = (stats.drift_calls - 1) // 12
+        members = math.prod(np.shape(h0)[:-2])
+        steps = stats.accepted_steps + stats.rejected_steps
+        # with several members some rounds stepped only part of the stack
+        assert steps == rounds if members == 1 else rounds < steps < members * rounds
+
+
 def test_trajectory_derivative_matches_drift(balanced_service, rng):
     model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
     h = cf.random_state(5, 2, rng).h
@@ -1087,6 +1135,30 @@ def test_golden_meanfield_trajectory(balanced_service):
     assert (s.accepted_steps, s.drift_calls) == (171, 2197)
     assert h.hexdigest() == (
         "489d5e22a43fbdb54e1439874794508e683e3891177c82b4a432d3416f89fbee"
+    )
+
+
+def test_golden_monotonicity_stack(balanced_service):
+    """The meanfield benchmark's second transient: 8 ordered pairs as one
+    stack, whose members step on their own, and the report's pair margins."""
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=25, d=2)
+    rng = np.random.default_rng(20)
+    lo = np.stack([cf.random_state(25, 2, rng).h for _ in range(8)])
+    hi = np.stack([cf.upper_envelope(a, cf.random_state(25, 2, rng)).h for a in lo])
+    traj = cf.integrate(model, np.stack([lo, hi]), 20.0, samples=20)
+    s = traj.stats
+    # fewer steps than 16 per round: some rounds stepped part of the stack
+    rounds = (s.drift_calls - 1) / 12
+    assert rounds < s.accepted_steps + s.rejected_steps < 16 * rounds
+    report = cf.monotonicity_report(model, lo, hi, 20.0, samples=20)
+    assert report.ok
+    h = hashlib.sha256(traj.times.tobytes())
+    h.update(traj.states.tobytes())
+    h.update(repr((s.accepted_steps, s.rejected_steps, s.invalid_steps,
+                   s.drift_calls, s.min_margin)).encode())
+    h.update(report.pair_margins.tobytes())
+    assert h.hexdigest() == (
+        "081f261c3c144dbe46ff593e16717c51ccdfbcc29eeff5e9b5b6186ecfefcea8"
     )
 
 
