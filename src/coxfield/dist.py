@@ -12,8 +12,9 @@ two-branch hyperexponential to a moment triple.
 
 Survival, density and hazard come from the phase mass a(t) = alpha
 expm(S t), with alpha the initial phase law and S the upper-bidiagonal
-phase generator.  It is propagated exactly between sorted evaluation
-times by matrix exponentials of S times each gap (scipy's scaling and
+phase generator.  Each call evaluates one distribution: its phase mass is
+propagated exactly between the sorted evaluation times by matrix
+exponentials of S times each distinct gap (scipy's scaling and
 squaring, Al-Mohy & Higham 2009), so there is no step size to choose and
 no truncation error to bound; survival is the total mass and density the
 completion flow a(t) nu.  Row i of S is scaled by span_i = min(gap, 1e30 /
@@ -100,12 +101,7 @@ class CoxianDistribution:
 
     def generator(self) -> np.ndarray:
         """Upper-bidiagonal phase generator S (absorption excluded)."""
-        mu = np.asarray(self.rates)
-        s = np.diag(-mu)
-        if self.n > 1:
-            off = mu[:-1] * np.asarray(self.continuations[:-1])
-            s += np.diag(off, k=1)
-        return s
+        return _phase_generator(self.rates, self.continuations)
 
 
 @dataclass(frozen=True)
@@ -448,68 +444,66 @@ def fit_hyperexp2(target: MomentTriple) -> HyperExponential:
 # ---------------------------------------------------------------------------
 
 
-def _phase_grid_many(dists: Sequence[Distribution], ts: np.ndarray):
-    """Survival and density for many distributions on a shared time grid.
+def _phase_generator(rates, conts) -> np.ndarray:
+    """Upper-bidiagonal phase generator: -mu_i on the diagonal, mu_i p_i above."""
+    rates = np.asarray(rates)
+    n = len(rates)
+    gen = np.zeros((n, n))
+    diag = np.arange(n)
+    gen[diag, diag] = -rates
+    gen[diag[:-1], diag[1:]] = (rates * np.asarray(conts))[:-1]
+    return gen
 
-    Returns (survival, density), each of shape (len(dists), len(ts)).  The
-    phase mass a(t) = alpha expm(S t) moves from one distinct time to the
-    next by the exact propagator expm(S gap).  Distributions are grouped by
-    phase count, and one batched ``expm`` per group covers every member and
-    every distinct gap.
+
+def _phase_grid(dist: Distribution, t):
+    """Survival and density of one distribution at scalar or 1-D times ``t``.
+
+    Returns (survival, density), each of shape (len(t),), or (1,) for a
+    scalar.  The phase mass a(t) = alpha expm(S t) moves from one distinct
+    time to the next by the exact propagator expm(S gap); one batched
+    ``expm`` covers every distinct gap, and the masses at all times are
+    summed once at the end.
     """
     from scipy import linalg  # on first use: ``import coxfield`` loads no scipy
-    ts = np.asarray(ts, dtype=float)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1:
+        raise ValueError(f"times must be a scalar or 1-D, got shape {ts.shape}")
     if not np.all(ts >= 0):
         raise ValueError("times must be nonnegative and not NaN")
     times, at = np.unique(ts, return_inverse=True)
-    surv, dens = np.empty((2, len(dists), len(times)))
     gaps, gap_index = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
-
-    groups = {}
-    for idx, d in enumerate(dists):
-        groups.setdefault(len(d.rates), []).append(idx)
-
-    for n, members in groups.items():
-        forms = [_phase_form(dists[i]) for i in members]
-        alpha, rates, conts = (np.stack(part) for part in zip(*forms))
-        gen = np.zeros((len(members), n, n))
-        diag = np.arange(n)
-        gen[:, diag, diag] = -rates
-        gen[:, diag[:-1], diag[1:]] = (rates * conts)[:, :-1]
-        # row i of S times span_i = min(gap, cap / mu_i), column i span_i / gap
-        spans = np.minimum(gaps[:, None], EXPONENT_CAP / rates[:, None, :])
-        capped = spans < gaps[:, None]
-        kept = np.divide(spans, gaps[:, None], out=np.ones_like(spans), where=capped)
-        steps = linalg.expm(gen[:, None] * spans[..., None]) * kept[..., None, :]
-        nu = rates * (1.0 - conts)
-        mass = alpha
-        rows = np.asarray(members)
-        for col, g in enumerate(gap_index):
-            mass = np.einsum("mi,mij->mj", mass, steps[:, g])
-            surv[rows, col] = mass.sum(axis=1)
-            dens[rows, col] = (mass * nu).sum(axis=1)
-    return surv[:, at], dens[:, at]
+    mass, rates, conts = (np.array(part) for part in _phase_form(dist))
+    # row i of S times span_i = min(gap, cap / mu_i), column i span_i / gap;
+    # cap / mu_i overflows to inf, no cap, for mu_i below about 5.6e-279
+    with np.errstate(over="ignore"):
+        spans = np.minimum(gaps[:, None], EXPONENT_CAP / rates)
+    capped = spans < gaps[:, None]
+    kept = np.divide(spans, gaps[:, None], out=np.ones_like(spans), where=capped)
+    gen = _phase_generator(rates, conts)
+    steps = linalg.expm(gen * spans[..., None]) * kept[:, None, :]
+    masses = np.empty((len(times), len(rates)))
+    for col, g in enumerate(gap_index):
+        mass = masses[col] = np.einsum("i,ij->j", mass, steps[g])
+    surv = masses.sum(axis=1)
+    dens = (masses * (rates * (1.0 - conts))).sum(axis=1)
+    return surv[at], dens[at]
 
 
-def _eval_grid(dist: Distribution, t):
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if t_arr.ndim != 1:
-        raise ValueError(f"times must be a scalar or 1-D, got shape {t_arr.shape}")
-    surv, dens = _phase_grid_many([dist], t_arr)
-    return surv[0], dens[0]
+def _as_given(t, values: np.ndarray):
+    """``values`` as a float for scalar times ``t``, else as the array."""
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 def cdf(dist: Distribution, t):
     """Distribution function at scalar or array times, F(t) = 1 - survival."""
-    surv, _ = _eval_grid(dist, t)
-    out = 1.0 - surv
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+    surv, _ = _phase_grid(dist, t)
+    return _as_given(t, 1.0 - surv)
 
 
 def pdf(dist: Distribution, t):
     """Density at scalar or array times, the completion flow of phase mass."""
-    _, dens = _eval_grid(dist, t)
-    return float(dens[0]) if np.isscalar(t) or np.ndim(t) == 0 else dens
+    _, dens = _phase_grid(dist, t)
+    return _as_given(t, dens)
 
 
 def hazard(dist: Distribution, t):
@@ -519,8 +513,8 @@ def hazard(dist: Distribution, t):
     distribution at time t, hence nonincreasing for distributions with
     decreasing completion rates.
     """
-    surv, dens = _eval_grid(dist, t)
+    surv, dens = _phase_grid(dist, t)
     out = np.full_like(surv, np.nan)
     ok = surv >= SURVIVAL_FLOOR
     out[ok] = dens[ok] / surv[ok]
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return _as_given(t, out)

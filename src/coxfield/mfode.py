@@ -62,6 +62,7 @@ by ``coxfield.cli``.
 """
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -135,6 +136,17 @@ def _integer(name: str, value, low: int = 1) -> int:
     if whole is None or whole != value or whole < low:
         raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
     return whole
+
+
+def _level(L, B: int) -> int:
+    """Level ``L`` of a state with ``B`` levels, as an int.
+
+    A number outside 1..B raises a ValueError naming the range; any other
+    non-integer (2.5, None, a string) raises ``_integer``'s.
+    """
+    if isinstance(L, numbers.Real) and not 1 <= L <= B:
+        raise ValueError(f"need 1 <= L <= B, got L={L}")
+    return _integer("L", L)
 
 
 def _set_integer(obj, name: str, low: int = 1) -> int:
@@ -634,7 +646,7 @@ def integrate(
             f"horizon {T!r} is {T * model.rate_bound:.3g} event-rate units, "
             f"above {MAX_HORIZON:.0e}"
         )
-    if samples < 1:
+    if isinstance(samples, numbers.Real) and samples < 1:
         raise ValueError(f"need at least one sample after the start, got {samples!r}")
     samples = _integer("samples", samples)
     if samples > MAX_SAMPLES:
@@ -915,9 +927,7 @@ def lyapunov_values(h: StateLike, service: CoxianDistribution, L: int = 1):
     batch axes of ``h`` both are arrays; for one state, floats.
     """
     arr = _as_h(h, batch=True)
-    if not 1 <= L <= arr.shape[-2]:
-        raise ValueError(f"need 1 <= L <= B, got L={L}")
-    L = _integer("L", L)
+    L = _level(L, arr.shape[-2])
     rem = remaining_service_times(service)
     z1 = arr[..., L - 1 :, 0].sum(axis=-1)
     z2 = _dots(arr[..., 0, 1:], np.diff(rem))
@@ -934,9 +944,7 @@ def lyapunov_rates(model: PolicyModel, h: StateLike, L: int = 1):
     batch axes of ``h`` like ``lyapunov_values``.
     """
     arr = _model_states(model, h)
-    if not 1 <= L <= arr.shape[-2]:
-        raise ValueError(f"need 1 <= L <= B, got L={L}")
-    L = _integer("L", L)
+    L = _level(L, arr.shape[-2])
     terms = model._terms
     top = terms.lam_K if L == 1 else _poly(arr[..., L - 2, 0], terms.overflow)
     arrivals = top - _poly(arr[..., -1, 0], terms.overflow)

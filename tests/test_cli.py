@@ -85,6 +85,19 @@ def test_convert_fast_phase_has_finite_gap(tmp_path):
     assert 0 <= load(tmp_path, "convert.json")["cdf_max_gap"] <= 1e-10
 
 
+def test_convert_tiny_rate_prints_no_warning(tmp_path):
+    # 1e30 / 1e-300 overflows to inf, which means "no cap"; it is no error
+    dist = {"kind": "hyperexp", "weights": [0.5, 0.5], "rates": [1e300, 1e-300]}
+    src = write(tmp_path / "dist.json", dist)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cf.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "coxfield.cli", "convert", src, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert load(tmp_path, "convert.json")["cdf_max_gap"] == 0.0
+
+
 def test_convert_fails_non_finite_gap(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cdf", lambda dist, t: np.full(np.shape(t), np.nan))
     src = write(tmp_path / "dist.json", HYPER)

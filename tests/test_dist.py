@@ -9,6 +9,7 @@ weights.  Library results must match those, never each other.
 import hashlib
 import inspect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,18 @@ def test_fast_phases_and_huge_times_stay_finite():
         assert (cf.pdf(dist, ts)[1:] == 0.0).all()
         assert np.isnan(cf.hazard(dist, ts)[1:]).all()
         assert cf.cdf(dist, np.inf) == 1.0
+
+
+def test_tiny_rate_evaluates_without_warnings():
+    # 1e30 / 1e-300 overflows to inf: the slow branch gets no cap
+    hyper = cf.HyperExponential((0.5, 0.5), (1e300, 1e-300))
+    ts = np.linspace(0.1, 5.0, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cf.cdf(hyper, ts), cf.pdf(hyper, ts), cf.hazard(hyper, ts)
+    assert (got[0] == 0.5).all()
+    assert got[1] == pytest.approx(np.full(50, 5e-301), rel=1e-12)
+    assert got[2] == pytest.approx(np.full(50, 1e-300), rel=1e-12)
 
 
 @pytest.mark.parametrize("mu", [1e35, 1e40, 1e100])
@@ -567,4 +580,42 @@ def test_golden_conversion_class_and_moments():
         records.append((tri.m1, tri.n2, tri.n3))
     assert digest(records) == (
         "17bac2e571c66122d4de25677db7d34e97f7021a33226e93377e3f0c97cd6bd6"
+    )
+
+
+def test_golden_survival_density_hazard():
+    """cdf, pdf and hazard bytes hash to a pinned SHA-256.
+
+    Seeded Coxians and hyperexponentials of 1 to 4 phases, capped fast
+    phases, a tiny rate and equal rates, each on a grid, unsorted times, a
+    scalar, repeated times with 0, and the extreme times 0, 1e-40, 1e40
+    and inf (the tiny rate on the finite sets only).
+    """
+    rng = np.random.default_rng(2121)
+    dists = []
+    for _ in range(20):
+        dists.append(random_coxian_decreasing(rng, max_phases=4))
+        dists.append(random_hyperexp(rng, max_branches=4))
+    dists += [
+        cf.CoxianDistribution((1e35, 1.0), (0.5, 0.0)),
+        cf.CoxianDistribution((1.0, 1e300, 2.0), (0.5, 0.5, 0.0)),
+        cf.HyperExponential((0.5, 0.5), (1e300, 1.0)),
+        cf.CoxianDistribution((1.5, 1.5, 1.5), (0.4, 0.6, 0.0)),
+    ]
+    finite = [
+        np.linspace(0.0, 10.0, 101),
+        rng.uniform(0.0, 8.0, size=37),
+        2.5,
+        np.array([1.0, 0.0, 0.5, 1.0, 0.0, 3.0, 0.5]),
+    ]
+    extreme = np.array([0.0, 1e-40, 1e40, np.inf])
+    tiny = cf.HyperExponential((0.5, 0.5), (1e300, 1e-300))
+    cases = [(d, ts) for d in dists for ts in finite + [extreme]]
+    cases += [(tiny, ts) for ts in finite]
+    h = hashlib.sha256()
+    for dist, ts in cases:
+        for f in (cf.cdf, cf.pdf, cf.hazard):
+            h.update(np.asarray(f(dist, ts), dtype=float).tobytes())
+    assert h.hexdigest() == (
+        "9317dafc722502ae07d4db48921245bc255f9c4c89eadcb2b42f8b16fa35df89"
     )

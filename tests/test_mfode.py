@@ -373,7 +373,7 @@ def test_integrate_rejects_bad_horizon_and_samples(balanced_service):
     for samples in (0, -2):
         with pytest.raises(ValueError, match="at least one sample"):
             cf.integrate(model, np.zeros((4, 2)), 1.0, samples=samples)
-    for samples in (1.5, math.nan, math.inf):
+    for samples in (1.5, math.nan, math.inf, None, "3"):
         with pytest.raises(ValueError, match="integer samples >= 1"):
             cf.integrate(model, np.zeros((4, 2)), 1.0, samples=samples)
     assert len(cf.integrate(model, np.zeros((4, 2)), 1.0, samples=2.0).times) == 3
@@ -823,9 +823,9 @@ def test_states_of_another_shape_are_rejected(balanced_service):
     assert drift(auto, np.zeros((6, 2))).shape == (6, 2)
 
 
-@pytest.mark.parametrize("L", [0, 6, 2.5])
+@pytest.mark.parametrize("L", [0, -2, 6, math.nan, math.inf, 2.5, None, "2"])
 def test_lyapunov_functionals_reject_levels_out_of_range(L, balanced_service, rng):
-    match = "integer L >= 1" if L == 2.5 else "need 1 <= L <= B"
+    match = "integer L >= 1" if L in (2.5, None, "2") else "need 1 <= L <= B"
     model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
     h = cf.random_state(5, 2, rng)
     with pytest.raises(ValueError, match=match):
