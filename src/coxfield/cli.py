@@ -416,12 +416,15 @@ def _ordered_pair(rng, B, n, pick):
     return zero_state(B, n), random_state(B, n, rng)
 
 
-def _random_starts(count, model, rng):
-    """A (count, B, n) stack of seeded random valid states."""
-    return np.stack([_as_h(random_state(model.B, model.n, rng)) for _ in range(count)])
+def _cases(args):
+    """The seeded generator of a sampled suite, once --count is checked."""
+    if args.count < 1:
+        raise SchemaError(f"--count must be at least 1, got {args.count}")
+    return np.random.default_rng(args.seed)
 
 
-def _suite_monotone(args, model, rng):
+def _suite_monotone(args, model):
+    rng = _cases(args)
     pairs = [_ordered_pair(rng, model.B, model.n, k % 3) for k in range(args.count)]
     lo, hi = (np.stack([_as_h(p[side]) for p in pairs]) for side in (0, 1))
     report = monotonicity_report(model, lo, hi, args.T, samples=20, **_tol(args))
@@ -436,19 +439,14 @@ def _suite_monotone(args, model, rng):
     return {"cases": cases, "pass": report.ok}
 
 
-def _suite_attract(args, model, rng):
-    starts = _random_starts(args.count, model, rng)
-    report = attraction_report(model, starts, args.T, **_tol(args))
-    return {
-        "distances": report.distances,
-        "max_distance": report.max_distance,
-        "pairwise_max": report.pairwise_max,
-        "pass": report.ok,
-    }
+def _suite_attract(args, model):
+    report = attraction_report(model, args.T, **_tol(args))
+    return {"gap": report.gap, "ordered": report.ordered, "pass": report.ok}
 
 
-def _suite_lyapunov(args, model, rng):
-    starts = _random_starts(args.count, model, rng)
+def _suite_lyapunov(args, model):
+    rng = _cases(args)
+    starts = np.stack([random_state(model.B, model.n, rng).h for _ in range(args.count)])
     report = lyapunov_report(model, starts, args.T, **_tol(args))
     cases = [
         {"max_rate": rate, "max_rate_gap": gap, "ok": ok}
@@ -457,8 +455,9 @@ def _suite_lyapunov(args, model, rng):
     return {"cases": cases, "pass": report.ok}
 
 
-def _suite_order_oracle(args, rng):
+def _suite_order_oracle(args):
     B, n = args.B, args.phases
+    rng = _cases(args)
     if B < 1 or n < 1:
         raise SchemaError(f"--B and --phases must be at least 1, got {B} and {n}")
     if B * n > ORACLE_CAP or math.comb(B + n - 1, n) > ORACLE_CAP:
@@ -483,18 +482,15 @@ def _suite_order_oracle(args, rng):
 
 
 def _cmd_verify(args):
-    if args.count < 1:
-        raise SchemaError(f"--count must be at least 1, got {args.count}")
-    rng = np.random.default_rng(args.seed)
     if args.suite == "order-oracle":
-        result, inputs = _suite_order_oracle(args, rng)
+        result, inputs = _suite_order_oracle(args)
     elif not args.model:
         raise SchemaError(f"suite {args.suite!r} needs --model")
     else:
         model = model_from_dict(_load_json(args.model))
         model = model.with_buffer(model.B or 10)
         inputs = {"model": model_to_dict(model)}
-        result = {**inputs, **args.check(args, model, rng)}
+        result = {**inputs, **args.check(args, model)}
     out = {"suite": args.suite, **result}
     path = os.path.join(args.out, f"verify_{args.suite.replace('-', '_')}.json")
     _write_json(path, out)
@@ -558,14 +554,15 @@ def _build_parser():
     p.add_argument("--phases", type=int, default=3, help="phase count")
     for name, check, count, T, help in (
         ("monotone", _suite_monotone, 25, 50.0, "the flow preserves the order"),
-        ("attract", _suite_attract, 10, 1000.0, "starts reach the fixed point"),
+        ("attract", _suite_attract, None, 1000.0, "every start nears the fixed point"),
         ("lyapunov", _suite_lyapunov, 5, 20.0, "the Lyapunov functionals decrease"),
     ):
-        p = suites.add_parser(name, parents=[out, seed, tol], help=help,
-                              allow_abbrev=False)
+        parents = [out, seed, tol] if count else [out, tol]
+        p = suites.add_parser(name, parents=parents, help=help, allow_abbrev=False)
         p.set_defaults(check=check)
         p.add_argument("--model", default=None, help="model JSON file")
-        p.add_argument("--count", type=int, default=count, help="number of cases")
+        if count:
+            p.add_argument("--count", type=int, default=count, help="number of cases")
         p.add_argument("--T", type=float, default=T, help="integration horizon")
     return parser
 

@@ -474,9 +474,10 @@ def _phase_grid(dist: Distribution, t):
     gaps, gap_index = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     mass, rates, conts = (np.array(part) for part in _phase_form(dist))
     # row i of S times span_i = min(gap, cap / mu_i), column i span_i / gap;
-    # cap / mu_i overflows to inf, no cap, for mu_i below about 5.6e-279
-    with np.errstate(over="ignore"):
-        spans = np.minimum(gaps[:, None], EXPONENT_CAP / rates)
+    # rates below cap / (largest float), about 5.6e-279, are raised to it, so
+    # that no span is inf (inf times the zeros of S is NaN)
+    slowest = EXPONENT_CAP / np.finfo(float).max
+    spans = np.minimum(gaps[:, None], EXPONENT_CAP / np.maximum(rates, slowest))
     capped = spans < gaps[:, None]
     kept = np.divide(spans, gaps[:, None], out=np.ones_like(spans), where=capped)
     gen = _phase_generator(rates, conts)

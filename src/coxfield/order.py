@@ -134,6 +134,12 @@ def _margins(h: np.ndarray) -> np.ndarray:
     return np.concatenate(flat, axis=-1).min(axis=-1)
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a NaN tolerance, which fails every comparison; a negative one is fine."""
+    if math.isnan(tol):
+        raise ValueError(f"tol must be a number, got {tol!r}")
+
+
 def state_space_report(state: StateLike, tol: float = OMEGA_TOL) -> StateSpaceReport:
     """Check the four inequality families defining valid states.
 
@@ -143,6 +149,7 @@ def state_space_report(state: StateLike, tol: float = OMEGA_TOL) -> StateSpaceRe
     failed inequality by family and anchor, e.g. "phase monotonicity at
     (1, 1)" when h_{1,2} > h_{1,1}.
     """
+    _check_tol(tol)
     h = _as_h(state)
     if _margins(h) >= -tol:
         return StateSpaceReport(True, ())
@@ -258,6 +265,7 @@ def leq(h: StateLike, other: StateLike, tol: float = ORDER_TOL) -> bool:
     level-sequence functional.  With a single phase the order reduces to
     the componentwise comparison.
     """
+    _check_tol(tol)
     a, b = _as_h(h), _as_h(other)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
@@ -274,6 +282,7 @@ def leq_report(h: StateLike, other: StateLike, tol: float = ORDER_TOL) -> LeqRep
     ``min_gap`` is the smaller of the two tracks' minima, which equals
     ``leq``'s one-track DP value since rounding is monotone.
     """
+    _check_tol(tol)
     a, b = _as_h(h), _as_h(other)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")

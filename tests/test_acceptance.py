@@ -231,19 +231,34 @@ def test_ac07_order_preserved_along_flow(capsys):
 
 
 def test_ac08_global_attraction(capsys):
+    # the sampled oracle: 50 seeded starts per model, integrated here next
+    # to the empty and the full state, end near pi and near each other; the
+    # report passes, its gap is the two extremes' sup gap, and pi and every
+    # start lie between the extremes and within the gap of pi, up to 1e-10
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)
-    worst_dist = worst_pair = 0.0
+    worst_dist = worst_pair = worst_gap = outside = 0.0
+    reports_ok = True
     for name, model in balanced_models(25).items():
         starts = np.stack([cf.random_state(25, 2, rng).h for _ in range(50)])
-        rep = cf.attraction_report(model, starts, T=200.0)
-        worst_dist = max(worst_dist, rep.max_distance)
-        worst_pair = max(worst_pair, rep.pairwise_max)
-        solved(name, model)
-    ok = worst_dist <= 1e-6 and worst_pair <= 1e-8
+        extremes = np.stack([cf.zero_state(25, 2).h, cf.full_state(25, 2).h])
+        stack = np.concatenate([starts, extremes])
+        *ends, low, high = cf.integrate(model, stack, 200.0, samples=1).final
+        ends, pi = np.stack(ends), solved(name, model).pi.h
+        rep = cf.attraction_report(model, T=200.0)
+        reports_ok &= rep.ok and rep.gap == (high - low).max()
+        dists = np.abs(ends - pi).max(axis=(-2, -1))
+        inside = np.concatenate([ends, [pi]])
+        outside = max(outside, dists.max() - rep.gap,
+                      (low - inside).max(), (inside - high).max())
+        worst_dist = max(worst_dist, dists.max())
+        worst_pair = max(worst_pair, (ends.max(axis=0) - ends.min(axis=0)).max())
+        worst_gap = max(worst_gap, rep.gap)
+    ok = worst_dist <= 1e-6 and worst_pair <= 1e-8 and reports_ok and outside <= 1e-10
     report(capsys, 8, ok,
            f"3 models x 50 starts, T=200: sup distance to pi {worst_dist:.2e}, "
-           f"pairwise {worst_pair:.2e}", t0)
+           f"pairwise {worst_pair:.2e}; sandwich gap {worst_gap:.2e}, "
+           f"largest excursion beyond it {outside:.2e}", t0)
 
 
 def test_ac09_fixed_point_anchors_and_structure(capsys):

@@ -414,8 +414,8 @@ def test_simulate_rejects_huge_event_count(tmp_path):
 
 def test_tolerance_is_used_as_given(tmp_path):
     # --tol 0 used to mean the command's default tolerance
-    args = ["verify", "attract", "--model", model_file(tmp_path), "--count", "2",
-            "--T", "150", "--out", str(tmp_path)]
+    args = ["verify", "attract", "--model", model_file(tmp_path), "--T", "150",
+            "--out", str(tmp_path)]
     assert main(args) == 0
     assert main(args + ["--tol", "0"]) == 1
     for tol in ("nan", "-1", "inf"):
@@ -437,6 +437,8 @@ UNREAD_OPTIONS = [
     ["verify", "order-oracle", "--T", "5"],
     *[["verify", suite, "--model", "X.json", option, "3"]
       for suite in ("monotone", "attract", "lyapunov") for option in ("--B", "--phases")],
+    *[["verify", "attract", "--model", "X.json", option, "1"]
+      for option in ("--count", "--seed")],
 ]
 
 
@@ -755,23 +757,28 @@ def test_verify_rejects_empty_count(tmp_path):
 
 
 def test_verify_attract(tmp_path):
-    args = ["verify", "attract", "--model", model_file(tmp_path), "--count", "4",
-            "--T", "150", "--out", str(tmp_path)]
-    assert main(args) == 0
+    args = ["verify", "attract", "--model", model_file(tmp_path), "--out", str(tmp_path),
+            "--T"]
+    assert main(args + ["150"]) == 0
     out = load(tmp_path, "verify_attract.json")
+    assert set(out) == {"suite", "model", "gap", "ordered", "pass"}
     assert out["suite"] == "attract" and out["model"]["B"] == 6
-    assert out["pass"] is True and len(out["distances"]) == 4
-    assert out["max_distance"] == max(out["distances"]) <= 1e-6
+    assert out["pass"] is True and out["ordered"] is True and 0 < out["gap"] <= 1e-6
+    assert "seed" not in load(tmp_path, "manifest.json")
+    # at a short horizon the sandwich is still wide: exit 1
+    assert main(args + ["2"]) == 1
+    out = load(tmp_path, "verify_attract.json")
+    assert out["pass"] is False and out["ordered"] is True and out["gap"] > 1e-6
 
 
 def test_verify_attract_default_horizon_on_readme_model(tmp_path):
     # jsq lam=0.9, B=25 relaxes slowly: at T=200 starts were still 6e-3
     # from pi, so the suite failed with its own defaults
     src = model_file(tmp_path, **{"lambda": 0.9, "B": 25})
-    args = ["verify", "attract", "--model", src, "--count", "3", "--out", str(tmp_path)]
+    args = ["verify", "attract", "--model", src, "--out", str(tmp_path)]
     assert main(args) == 0
     out = load(tmp_path, "verify_attract.json")
-    assert out["pass"] is True and out["max_distance"] <= 1e-6
+    assert out["pass"] is True and out["gap"] <= 1e-6
 
 
 def test_verify_lyapunov(tmp_path):

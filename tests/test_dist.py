@@ -238,6 +238,12 @@ def test_tiny_rate_evaluates_without_warnings():
     assert (got[0] == 0.5).all()
     assert got[1] == pytest.approx(np.full(50, 5e-301), rel=1e-12)
     assert got[2] == pytest.approx(np.full(50, 1e-300), rel=1e-12)
+    # at t = inf the slow branch's span was inf, and inf times the zeros of
+    # the generator made the last value NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cf.cdf(hyper, [0.0, 1e-40, 1e40, math.inf]).tolist() == [0, 0.5, 0.5, 1]
+        assert cf.pdf(hyper, math.inf) == 0.0
 
 
 @pytest.mark.parametrize("mu", [1e35, 1e40, 1e100])

@@ -10,6 +10,7 @@ plus closed-form anchors.
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,21 @@ def test_model_warns_when_unstable(balanced_service):
         )
     with pytest.warns(UserWarning, match="unstable"):
         cf.PolicyModel(kind="pullpush", lam=1.0, service=balanced_service, B=4, r=1.0)
+
+
+def test_instability_warns_once_at_the_caller(balanced_service):
+    # the warning used to point at the dataclass __init__, and with_buffer
+    # re-ran every check of the model, warning a second time
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = cf.PolicyModel(kind="jsq", lam=1.2, service=balanced_service, d=2)
+        assert model.with_buffer(12)._terms is model._terms
+    assert [(w.filename, str(w.message)) for w in caught] == [
+        (__file__, "jsq with load 1.2 is unstable")
+    ]
+    assert model.with_buffer(12.0).B == 12 and model.B is None
+    with pytest.raises(ValueError, match="integer B >= 1"):
+        model.with_buffer(2.5)
 
 
 def test_model_dict_round_trip(balanced_service):
@@ -799,13 +815,11 @@ def test_monotonicity_report_rejects_mismatched_shapes(balanced_service):
 
 
 def test_states_of_another_shape_are_rejected(balanced_service):
-    # each used to run silently on its own shape (the attraction report
-    # broadcast its starts against the B = 10 fixed point), or die in matmul
+    # each used to run silently on its own shape, or die in matmul
     model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=10, d=2)
     auto = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, d=2)
     shape = "state shape \\(B, n\\) = \\({}, {}\\) does not match the model's \\({}, 2\\)"
     calls = [
-        (lambda: cf.attraction_report(model, np.zeros((3, 1, 2)), 1.0), (1, 2, 10)),
         (lambda: cf.integrate(model, cf.zero_state(4, 2), 1.0), (4, 2, 10)),
         (lambda: cf.integrate(model, cf.zero_state(4, 2), 0.0), (4, 2, 10)),
         (lambda: cf.monotonicity_report(model, np.zeros((2, 3, 2)), np.ones((2, 3, 2)),
@@ -834,13 +848,12 @@ def test_lyapunov_functionals_reject_levels_out_of_range(L, balanced_service, rn
         cf.lyapunov_rates(model, h, L=L)
 
 
-@pytest.mark.parametrize("report", ["monotonicity", "attraction", "lyapunov"])
+@pytest.mark.parametrize("report", ["monotonicity", "lyapunov"])
 def test_reports_reject_an_empty_stack(report, balanced_service):
     model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
     none = np.zeros((0, 5, 2))
     calls = {
         "monotonicity": lambda: cf.monotonicity_report(model, none, none, T=1.0),
-        "attraction": lambda: cf.attraction_report(model, none, T=1.0),
         "lyapunov": lambda: cf.lyapunov_report(model, none, T=1.0),
     }
     with pytest.raises(ValueError, match="need at least one (pair|start)"):
@@ -848,12 +861,46 @@ def test_reports_reject_an_empty_stack(report, balanced_service):
 
 
 def test_attraction_report(balanced_service, rng):
+    # sampled starts, integrated here next to the empty and the full state,
+    # end between those two, as pi does, and within the report's gap of pi
     model = cf.PolicyModel(kind="pullpush", lam=0.5, r=1.0, service=balanced_service, B=8)
-    starts = np.stack([cf.random_state(8, 2, rng).h for _ in range(5)])
-    report = cf.attraction_report(model, starts, T=120.0)
-    assert report.ok
-    assert report.max_distance <= 1e-6
-    assert report.pairwise_max <= 1e-8
+    report = cf.attraction_report(model, T=120.0)
+    assert report.ok and report.ordered and 0 < report.gap <= 1e-6
+    starts = [cf.random_state(8, 2, rng).h for _ in range(5)]
+    extremes = [cf.zero_state(8, 2).h, cf.full_state(8, 2).h]
+    *ends, low, high = cf.integrate(model, np.stack(starts + extremes), 120.0,
+                                    samples=1).final
+    ends, pi = np.stack(ends), cf.fixed_point(model).pi.h
+    assert report.gap == (high - low).max()
+    for h in (*ends, pi):
+        assert (low - 1e-10 <= h).all() and (h <= high + 1e-10).all()
+    assert np.abs(ends - pi).max() <= min(report.gap + 1e-10, 1e-6)
+    assert np.ptp(ends, axis=0).max() <= 1e-8
+    # at a short horizon the two flows are still apart, and still ordered
+    short = cf.attraction_report(model, T=5.0)
+    assert not short.ok and short.ordered and short.gap > 1e-3
+    assert not cf.attraction_report(model, T=120.0, tol=0.5 * report.gap).ok
+
+
+def test_attraction_report_needs_a_buffer(balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, d=2)
+    with pytest.raises(ValueError, match="buffer size B"):
+        cf.attraction_report(model, T=1.0)
+
+
+def test_reports_reject_a_nan_tolerance(balanced_service, rng):
+    # a NaN tolerance fails every comparison, so each report would fail
+    # (or, for monotonicity, call its ordered pair unordered) and name no cause
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
+    h = cf.random_state(5, 2, rng).h
+    for call in (
+        lambda tol: cf.monotonicity_report(model, 0.5 * h, h, 1.0, tol=tol),
+        lambda tol: cf.lyapunov_report(model, h, 1.0, tol=tol),
+        lambda tol: cf.attraction_report(model, 1.0, tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol must be a number, got nan"):
+            call(math.nan)
+        call(-1e-3)  # a negative tolerance demands a margin; it is no error
 
 
 def test_lyapunov_rates_match_finite_differences(balanced_service, rng):
@@ -1002,16 +1049,13 @@ def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
     scales = (0.1, 0.2, 0.05, 0.3, 0.5, 0.0)
     lo = np.stack([s * cf.random_state(5, 2, rng).h for s in scales])
     hi = np.ones_like(lo)
-    starts = np.stack([cf.random_state(5, 2, rng).h for _ in range(50)])
     # both sides, 10 samples + start and the integrator's working states, B n
     pair_floats = 2 * (11 + mfode._WORK_STATES) * 5 * 2
-    start_floats = (2 + mfode._WORK_STATES) * 5 * 2  # start, end and working states
     reports = (
         lambda: cf.monotonicity_report(model, lo.reshape(2, 3, 5, 2),
                                        hi.reshape(2, 3, 5, 2), 2.0, samples=10,
                                        tol=-0.28),
         lambda: cf.lyapunov_report(model, lo, 2.0),
-        lambda: cf.attraction_report(model, starts, 2.0),
     )
     runs, stacks = [], []
     with monkeypatch.context() as patch:
@@ -1021,15 +1065,10 @@ def test_reports_in_chunks_match_one_stack(balanced_service, monkeypatch):
             for report in reports:
                 stacks.append([])
                 runs.append(report())
-    mono, lyap, attr, mono_chunked, lyap_chunked, attr_chunked = runs
-    # one stack each, then the 6 pairs (two sides each) in 3 chunks of 2,
-    # the 6 Lyapunov starts in chunks of 4 and 2, and the 50 attraction
-    # starts in 10 chunks of 5
-    chunk = 2 * pair_floats // start_floats
-    assert stacks == [[12], [6], [50], [4] * 3, [4, 2], [chunk] * 10]
-    assert attr.max_distance == attr_chunked.max_distance
-    assert attr.pairwise_max == attr_chunked.pairwise_max > 0
-    assert attr.distances.tobytes() == attr_chunked.distances.tobytes()
+    mono, lyap, mono_chunked, lyap_chunked = runs
+    # one stack each, then the 6 pairs (two sides each) in 3 chunks of 2
+    # and the 6 Lyapunov starts in chunks of 4 and 2
+    assert stacks == [[12], [6], [4] * 3, [4, 2]]
     assert mono.pair_margins.shape == (2, 3)
     assert not mono.ok and mono.violation_pair == 4
     assert np.isfinite(mono.pair_violation_times).sum() == 3
@@ -1081,23 +1120,6 @@ def test_monotonicity_chunks_do_not_hold_each_other(balanced_service, monkeypatc
         (30, 90),
     )
     assert stacks == [[60], [60] * 3]  # both sides of 30 pairs a chunk
-    assert peaks[1] <= 1.05 * peaks[0], peaks
-
-
-def test_attraction_chunks_do_not_hold_each_other(balanced_service, monkeypatch):
-    # the attraction twin: a chunk's two-sample trajectory is released when
-    # the chunk returns, so three chunks peak no higher than one
-    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=25, d=2)
-    start_floats = (2 + mfode._WORK_STATES) * 25 * 2
-    monkeypatch.setattr(mfode, "STACK_FLOATS", 30 * start_floats)
-    rng = np.random.default_rng(17)
-    starts = np.stack([cf.random_state(25, 2, rng).h for _ in range(90)])
-    peaks, stacks = chunk_peaks(
-        monkeypatch,
-        lambda count: cf.attraction_report(model, starts[:count], 0.5),
-        (30, 90),
-    )
-    assert stacks == [[30], [30] * 3]
     assert peaks[1] <= 1.05 * peaks[0], peaks
 
 

@@ -162,6 +162,20 @@ def test_order_rejects_mismatched_shapes(call, rng):
         call(cf.random_state(3, 2, rng), cf.random_state(3, 3, rng))
 
 
+@pytest.mark.parametrize("call", [
+    lambda h, tol: cf.state_space_report(h, tol=tol),
+    lambda h, tol: cf.leq(h, h, tol=tol),
+    lambda h, tol: cf.leq_report(h, h, tol=tol),
+], ids=["state_space_report", "leq", "leq_report"])
+def test_nan_tolerance_is_rejected(call, rng):
+    # a NaN tolerance failed every comparison: state_space_report returned
+    # ok=False with no violation named, and leq called h <= h false
+    h = cf.random_state(4, 2, rng)
+    with pytest.raises(ValueError, match="tol must be a number, got nan"):
+        call(h, math.nan)
+    call(h, -1e-3)  # a negative tolerance demands a margin; it is no error
+
+
 def test_level_phase_mass_needs_a_drop(rng):
     h = cf.random_state(4, 3, rng)
     assert cf.level_phase_mass(h, (3, 2, 2)) >= 0

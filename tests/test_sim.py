@@ -3,11 +3,14 @@
 Correctness anchors: with single-choice routing (d=1) the servers are
 exactly independent M/G/1/B queues at every N, so the time-averaged tail
 must match closed forms (M/M/1/B) and the ODE fixed point without any
-finite-N bias.  Everything else checks determinism, pooling and the
-comparison contract.
+finite-N bias.  At N = 3 the chain is small enough to solve exactly: its
+stationary tails, built from the rules in ``sim``'s docstring, are the
+oracle for every policy.  Everything else checks determinism, pooling and
+the comparison contract.
 """
 
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -340,3 +343,91 @@ def test_stray_model_fields_have_no_effect(doc, stray):
     runs = [cf.simulate(config) for config in configs]
     assert runs[0].per_replication.tobytes() == runs[1].per_replication.tobytes()
     assert runs[0].stats.events == runs[1].stats.events
+
+
+def exact_chain_tails(model, N, peer_from_all=False, distinct_slots=False):
+    """Stationary tails of the labelled N-server chain, solved densely.
+
+    Each server is idle or holds (length l <= B, phase j of its head job),
+    so the chain has (1 + B n)^N states.  An arrival event (rate lam N)
+    draws d slots uniformly with replacement, ranks them by length with a
+    uniform tiebreak and gives one job to each of the K best, a job for a
+    full buffer being dropped; each idle server probes at rate r a peer
+    drawn from the N - 1 others and, if that peer has a waiting job, takes
+    it into phase 1 while the peer keeps its phase.  Phase j ends at rate
+    mu_j, moving on with probability p_j, else the job leaves and the
+    next starts in phase 1.  ``peer_from_all`` and ``distinct_slots`` break
+    the probe and the slot draw on purpose.
+    """
+    B, n = model.B, model.n
+    K, d, pull = model.arrival
+    rates, conts = model.service.rates, model.service.continuations
+    cells = [(0, 0)] + [(l, j) for l in range(1, B + 1) for j in range(1, n + 1)]
+    states = list(itertools.product(cells, repeat=N))
+    number = {x: k for k, x in enumerate(states)}
+    draws = (itertools.permutations(range(N), d) if distinct_slots
+             else itertools.product(range(N), repeat=d))
+    # each draw in each tiebreak order, all equally likely
+    orders = [order for slots in draws for order in itertools.permutations(slots)]
+    Q = np.zeros((len(states), len(states)))
+
+    def move(x, y, rate):
+        Q[number[x], number[tuple(y)]] += rate  # a drop is a move to x itself
+
+    for x in states:
+        for order in orders:
+            y = list(x)
+            for s in sorted(order, key=lambda s: x[s][0])[:K]:
+                l, j = y[s]
+                if l < B:
+                    y[s] = (l + 1, j or 1)
+            move(x, y, model.lam * N / len(orders))
+        for s in range(N):
+            l, j = x[s]
+            if not l:
+                peers = [t for t in range(N) if peer_from_all or t != s]
+                for t in peers:
+                    if x[t][0] >= 2:
+                        y = list(x)
+                        y[s], y[t] = (1, 1), (x[t][0] - 1, x[t][1])
+                        move(x, y, pull / len(peers))
+                continue
+            y = list(x)
+            if j < n:
+                y[s] = (l, j + 1)
+                move(x, y, rates[j - 1] * conts[j - 1])
+            y[s] = (l - 1, 1) if l > 1 else (0, 0)
+            move(x, y, rates[j - 1] * (1.0 - conts[j - 1]))
+    np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
+    balance = Q.T.copy()
+    balance[-1] = 1.0  # one balance equation gives way to the total mass
+    p = np.linalg.solve(balance, np.eye(len(states))[-1])
+    h = np.zeros((B, n))
+    for prob, x in zip(p, states):
+        for l, j in x:
+            h[:l, :j] += prob / N
+    return h
+
+
+#: policy, its fields, horizon, and the broken chain its estimate must miss
+EXACT_CHAIN_CASES = {
+    "jsq": (dict(kind="jsq", lam=0.7, d=2), 10_000.0, None),
+    "pullpush": (dict(kind="pullpush", lam=0.5, r=1.0), 20_000.0, "peer_from_all"),
+    "batchjsq": (dict(kind="batchjsq", lam=0.35, d=2, K=2), 10_000.0, "distinct_slots"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CHAIN_CASES))
+def test_simulator_matches_the_exact_finite_chain(name, balanced_service):
+    # N = 3, B = 3, n = 2: 7^3 = 343 states
+    spec, horizon, broken = EXACT_CHAIN_CASES[name]
+    model = cf.PolicyModel(service=balanced_service, B=3, **spec)
+    est = cf.replicate(cf.SimConfig(model=model, N=3, horizon=horizon, warmup=20.0,
+                                    seed=3, replications=16))
+    allowed = 4.0 * est.half_width + 1e-3
+    assert (np.abs(est.h_bar - exact_chain_tails(model, 3)) <= allowed).all()
+    if broken:
+        # the test's power: the chain with the probe or the slot draw broken
+        # is far enough from the estimate to be told apart
+        wrong = exact_chain_tails(model, 3, **{broken: True})
+        assert (np.abs(est.h_bar - wrong) > allowed).any()
