@@ -38,9 +38,11 @@ own step, so its numbers do not depend on the other starts, and a trial
 step whose result leaves the state space is repeated with a smaller
 step, never clipped.  A trial keeps its 13 stages in one buffer, and each
 stage sum is one einsum call that adds the stages in order, member by
-member.  It is the one flow: the certificates take their states from
-it.  Fixed points are found by pseudo-transient continuation from the
-empty state, or from the full state when the load lam K is at least 1:
+member.  Each member's time, step, error norm and step control are
+Python floats, decided one member at a time.  It is the one flow: the
+certificates take their states from it.  Fixed points are found by
+pseudo-transient continuation from the empty state, or from the full
+state when the load lam K is at least 1:
 backward-Euler steps (I/tau - J) delta = f(h) on the full
 (B n)-dimensional drift, with J the exact Jacobian, a complex step on
 3 n + 1 coloured probes, and the pseudo-time step tau growing as the
@@ -531,10 +533,11 @@ def _dop_trial(model, y, k1, h):
 
     The 13 stages share one (13, M, B, n) buffer, and every stage sum is
     one einsum over it.  Returns the eighth-order result, its drift and the
-    per-member error norm e5^2 / sqrt(e5^2 + 0.01 e3^2), taken as 0 where
-    the denominator is 0, with e5 and e3 the max over (B, n) of
-    |est| / (ATOL + RTOL max(|y|, |y_new|)) for the fifth- and third-order
-    estimates.
+    per-member error norms e5^2 / sqrt(e5^2 + 0.01 e3^2) as a list of
+    Python floats, 0 where the denominator is 0, with e5 and e3 the max
+    over (B, n) of |est| / (ATOL + RTOL max(|y|, |y_new|)) for the fifth-
+    and third-order estimates.  The norm takes the same correctly rounded
+    operations, one at a time, as it would in numpy.
     """
     terms = model._terms
     ks = np.empty((len(_DOP_E5),) + y.shape)
@@ -545,14 +548,13 @@ def _dop_trial(model, y, k1, h):
     ks[-1] = terms(y_new)
     scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
     e5, e3 = (
-        (np.abs(h * _stage_sum(e, ks)) / scale).max(axis=(-2, -1))
+        (np.abs(h * _stage_sum(e, ks)) / scale).max(axis=(-2, -1)).tolist()
         for e in (_DOP_E5, _DOP_E3)
     )
-    # on a short enough step e5^2 and e3^2 both underflow to 0
-    norm = e5 * e5 + 0.01 * (e3 * e3)
-    with np.errstate(invalid="ignore"):  # 0 / 0 where the norm vanishes
-        err = e5 * e5 / np.sqrt(norm)
-    return y_new, ks[-1], np.where(norm == 0, 0.0, err)
+    # on a short enough step a^2 and b^2 both underflow to 0
+    errs = [a * a / math.sqrt(norm) if (norm := a * a + 0.01 * (b * b)) else 0.0
+            for a, b in zip(e5, e3)]
+    return y_new, ks[-1], errs
 
 
 def _growth(err: float) -> float:
@@ -574,52 +576,62 @@ def _integrate_adaptive(model, h, times, margin):
     (tolerance _ITERATE_TOL); it is repeated with a smaller step.  Steps are
     cut to land exactly on the sample times.  ``margin`` is the starts'
     smallest state-space slack.
+
+    The stages, the error estimates and the margins are numpy calls over
+    the members of a round.  Each member's times, steps and decisions are
+    Python floats in one loop over them, which on the small stacks of the
+    reports costs less than numpy's calls on arrays of a few floats and
+    takes the same correctly rounded operations.
     """
     members = len(h)
     out = np.empty((len(times),) + h.shape)
     out[0] = h
     slope = drift(model, h)
     calls, accepted, rejected, invalid = 1, 0, 0, 0
-    t = np.zeros(members)
     bound = step_bound(model)
-    step = np.full(members, bound)
+    t, step = [0.0] * members, [bound] * members
     floor = _STEP_FLOOR * bound
-    for k, target in enumerate(times[1:], 1):
+    for k, target in enumerate(times[1:].tolist(), 1):
         while True:
-            act = np.flatnonzero(t < target)
-            if not act.size:
+            act = [m for m in range(members) if t[m] < target]
+            if not act:
                 break
-            sel = slice(None) if act.size == members else act
-            room = target - t[sel]
-            current = step[sel]
-            landed = current >= room
-            trial = np.minimum(current, room)
-            y_new, slope_new, err = _dop_trial(
-                model, h[sel], slope[sel], trial[:, None, None]
+            trial = [min(step[m], target - t[m]) for m in act]
+            sel = slice(None) if len(act) == members else act
+            y_new, slope_new, errs = _dop_trial(
+                model, h[sel], slope[sel], np.array(trial)[:, None, None]
             )
             calls += 12
-            margins = _margins(y_new)
-            valid = margins >= -_ITERATE_TOL
-            ok = valid & (err <= 1.0)
-            growth = [_growth(e) for e in err.tolist()]
-            proposal = trial * np.where(valid, growth, _INVALID_SHRINK)
-            proposal = np.where(ok & landed, np.maximum(current, proposal), proposal)
-            if (proposal < floor).any():
-                bad = act[np.argmax(proposal < floor)]
-                raise IntegrationError(
-                    f"step fell below {floor:.3g} at t={t[bad]:.6g} (start {bad}); "
-                    f"the flow cannot be followed within tolerance {RTOL:g}"
-                )
-            step[sel] = proposal
-            done = act[ok]
-            h[done] = y_new[ok]
-            slope[done] = slope_new[ok]
-            t[done] = np.where(landed[ok], target, t[done] + trial[ok])
-            good = int(np.count_nonzero(ok))
-            accepted += good
-            rejected += ok.size - good
-            invalid += valid.size - int(np.count_nonzero(valid))
-            margin = min(margin, float(np.min(margins[ok], initial=np.inf)))
+            done = []  # the positions in act of the accepted trials
+            for i, (m, gap, err) in enumerate(zip(act, _margins(y_new).tolist(), errs)):
+                valid = gap >= -_ITERATE_TOL
+                ok = valid and err <= 1.0
+                if valid:
+                    proposal = trial[i] * _growth(err)
+                else:
+                    proposal = trial[i] * _INVALID_SHRINK
+                    invalid += 1
+                landed = ok and step[m] >= target - t[m]
+                if landed and proposal < step[m]:
+                    proposal = step[m]
+                if proposal < floor:
+                    raise IntegrationError(
+                        f"step fell below {floor:.3g} at t={t[m]:.6g} (start {m}); "
+                        f"the flow cannot be followed within tolerance {RTOL:g}"
+                    )
+                step[m] = proposal
+                if ok:
+                    done.append(i)
+                    t[m] = target if landed else t[m] + trial[i]
+                    if gap < margin:
+                        margin = gap
+            accepted += len(done)
+            rejected += len(act) - len(done)
+            if len(done) == members:
+                h[...], slope[...] = y_new, slope_new
+            elif done:
+                rows = [act[i] for i in done]
+                h[rows], slope[rows] = y_new[done], slope_new[done]
         out[k] = h
     return out, (accepted, rejected, invalid, calls, margin)
 
@@ -782,8 +794,10 @@ def fixed_point(
     tail mass drops below 1e-10, emulating an infinite buffer.  Raises
     FixedPointError (with the residual history) when tau falls below 1e-9
     or the steps run out, which in practice flags loads at the edge of
-    stability.
+    stability.  A NaN tolerance raises a ValueError naming it.
     """
+    _check_tol(drift_tol, "drift_tol")
+    _check_tol(residual_tol, "residual_tol")
     started = time.perf_counter()
     calls = accepted = rejected = 0
     for tried, B in enumerate(_AUTO_BUFFERS if model.B is None else (model.B,), 1):

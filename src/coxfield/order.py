@@ -134,10 +134,13 @@ def _margins(h: np.ndarray) -> np.ndarray:
     return np.concatenate(flat, axis=-1).min(axis=-1)
 
 
-def _check_tol(tol: float) -> None:
-    """Reject a NaN tolerance, which fails every comparison; a negative one is fine."""
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Reject a NaN tolerance, which fails every comparison; a negative one is fine.
+
+    The ValueError names the tolerance as ``name``.
+    """
     if math.isnan(tol):
-        raise ValueError(f"tol must be a number, got {tol!r}")
+        raise ValueError(f"{name} must be a number, got {tol!r}")
 
 
 def state_space_report(state: StateLike, tol: float = OMEGA_TOL) -> StateSpaceReport:

@@ -618,6 +618,63 @@ def test_integrate_fails_loudly_when_no_step_stays_valid(balanced_service, monke
         cf.integrate(model, np.zeros((4, 2)), 1.0, samples=1)
 
 
+def _near_full(h):
+    """The stack members near the full state, the full state itself excluded."""
+    return (h[..., -1, 0] > 0.9) & (h != 1.0).any(axis=(-2, -1))
+
+
+def test_step_floor_names_the_failing_member(balanced_service, monkeypatch):
+    # only member 1, from the full state, has its trial results reported
+    # outside the state space; its step shrinks to the floor at t = 0 while
+    # the empty members beside it step on
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=4, d=2)
+    real = mfode._margins
+    monkeypatch.setattr(
+        mfode, "_margins", lambda h: np.where(_near_full(h), -1.0, real(h))
+    )
+    starts = np.stack([np.zeros((4, 2)), np.ones((4, 2)), np.zeros((4, 2))])
+    with pytest.raises(cf.IntegrationError, match=r"at t=0 \(start 1\)"):
+        cf.integrate(model, starts, 1.0, samples=1)
+
+
+def test_mixed_outcomes_in_one_round(balanced_service, monkeypatch):
+    # the first three trial results near the full state are reported
+    # outside the state space, so in the first rounds member 1's trial is
+    # invalid while the others' are accepted; each member keeps its solo
+    # bytes and the stack's counts add up over its members
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=4, d=2)
+    real = mfode._margins
+    left = [0]  # invalid trial results still to report
+
+    def margins(h):  # h is a stack, as integrate passes it
+        out = real(h)
+        for m in np.flatnonzero(_near_full(h)):
+            if left[0]:
+                left[0] -= 1
+                out[m] = -1.0
+        return out
+
+    def run(starts):
+        left[0] = 3
+        return cf.integrate(model, starts, 3.0, samples=1)
+
+    monkeypatch.setattr(mfode, "_margins", margins)
+    starts = np.stack([np.zeros((4, 2)), np.ones((4, 2)), 0.5 * np.ones((4, 2))])
+    solo = [run(start) for start in starts]
+    stack = run(starts)
+    for k, run in enumerate(solo):
+        assert stack.states[:, k].tobytes() == run.states.tobytes()
+    assert solo[1].stats.invalid_steps == 3
+    assert all(run.stats.invalid_steps == 0 for run in (solo[0], solo[2]))
+    for name in ("accepted_steps", "rejected_steps", "invalid_steps"):
+        assert getattr(stack.stats, name) == sum(getattr(r.stats, name) for r in solo)
+    # one sample interval: the stack takes as many rounds as its longest member
+    steps = [r.stats.accepted_steps + r.stats.rejected_steps for r in solo]
+    assert all(r.stats.drift_calls == 1 + 12 * s for r, s in zip(solo, steps))
+    assert stack.stats.drift_calls == 1 + 12 * max(steps)
+    assert stack.stats.min_margin == min(r.stats.min_margin for r in solo)
+
+
 # ---------------------------------------------------------------------------
 # fixed points
 
@@ -901,6 +958,15 @@ def test_reports_reject_a_nan_tolerance(balanced_service, rng):
         with pytest.raises(ValueError, match="tol must be a number, got nan"):
             call(math.nan)
         call(-1e-3)  # a negative tolerance demands a margin; it is no error
+
+
+def test_fixed_point_rejects_a_nan_tolerance(balanced_service):
+    # a NaN residual_tol is never met, so the solve ran all its steps and
+    # then blamed the model; a NaN drift_tol never switched to plain Newton
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=8, d=2)
+    for name in ("residual_tol", "drift_tol"):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got nan"):
+            cf.fixed_point(model, **{name: math.nan})
 
 
 def test_lyapunov_rates_match_finite_differences(balanced_service, rng):
