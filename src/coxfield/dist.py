@@ -22,6 +22,15 @@ mu_i) and column i of the step by span_i / gap: a capped phase keeps none
 of its own mass and carries its inflow's balance mass at mu_i, so fast
 phases and huge or infinite times stay finite (expm fails near 1e37).
 
+The per-distribution algebra (conversion, class check, moments) runs on
+plain Python floats, since a distribution has a handful of phases.  Its
+float sums are explicit left-to-right loops: the builtin ``sum``
+compensates float rounding from Python 3.12 on, so it would give other
+bytes on other interpreters.  ``hyperexp_to_coxian`` builds its result
+without re-running ``CoxianDistribution``'s checks, which could only
+repeat what holds already: its rates come from a checked
+HyperExponential and its loop checks each continuation it makes.
+
 Distributions are built from Python values; their JSON form is read and
 written by ``coxfield.cli``.
 """
@@ -64,6 +73,17 @@ def _set_fields(dist, other: str) -> tuple:
         if not 0 < r < math.inf:
             raise ValueError(f"rates must be positive and finite, got {rates}")
     return values
+
+
+def _float_sum(values) -> float:
+    """Left-to-right float sum, the same bits on every Python version.
+
+    Not the builtin ``sum``: see the module docstring.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)
@@ -125,8 +145,9 @@ class HyperExponential:
         for v in w:
             if not 0 < v < math.inf:
                 raise ValueError(f"weights must be positive and finite, got {w}")
-        if abs(sum(w) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got sum {sum(w)!r}")
+        total = _float_sum(w)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"weights must sum to 1, got sum {total!r}")
         _reject_duplicate_rates(self.rates)
 
     @property
@@ -148,8 +169,9 @@ class SignedMixture:
 
     def __post_init__(self):
         w = _set_fields(self, "weights")
-        if abs(sum(w) - 1.0) > 1e-10:
-            raise ValueError(f"weights must sum to 1, got sum {sum(w)!r}")
+        total = _float_sum(w)
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"weights must sum to 1, got sum {total!r}")
 
     @property
     def is_hyperexponential(self) -> bool:
@@ -169,7 +191,8 @@ class MomentTriple:
     n3: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.m1, self.n2, self.n3)):
+        if not (math.isfinite(self.m1) and math.isfinite(self.n2)
+                and math.isfinite(self.n3)):
             raise ValueError(
                 f"moments must be finite, got ({self.m1}, {self.n2}, {self.n3})"
             )
@@ -230,13 +253,17 @@ def hyperexp_to_coxian(hyper: HyperExponential) -> CoxianDistribution:
     n = len(mu)
     # partial[k] accumulates prod_{j<=i} (1 - mu_k/mu_j) as i advances;
     # only k >= i is ever read, so the zero factor at j = k never enters.
+    # denom sums w_k partial_k over k >= i before the update, numer over
+    # k > i after it, each left to right (see the module docstring).
     partial = [1.0] * n
     conts = []
     for i in range(n - 1):
-        denom = sum(w[k] * partial[k] for k in range(i, n))
+        mu_i = mu[i]
+        denom, numer = w[i] * partial[i], 0.0
         for k in range(i + 1, n):
-            partial[k] *= 1.0 - mu[k] / mu[i]
-        numer = sum(w[k] * partial[k] for k in range(i + 1, n))
+            denom += w[k] * partial[k]
+            partial[k] *= 1.0 - mu[k] / mu_i
+            numer += w[k] * partial[k]
         p_i = numer / denom
         if not 0.0 < p_i < 1.0:
             raise ValueError(
@@ -245,7 +272,13 @@ def hyperexp_to_coxian(hyper: HyperExponential) -> CoxianDistribution:
             )
         conts.append(p_i)
     conts.append(0.0)
-    return CoxianDistribution(mu, tuple(conts))
+    # built unchecked: the rates come from a checked HyperExponential
+    # (positive, finite, distinct floats), each p_i with i < n was checked in
+    # (0, 1) above and p_n = 0, so __post_init__ would change nothing
+    cox = object.__new__(CoxianDistribution)
+    object.__setattr__(cox, "rates", mu)
+    object.__setattr__(cox, "continuations", tuple(conts))
+    return cox
 
 
 def coxian_to_mixture(cox: CoxianDistribution) -> SignedMixture:

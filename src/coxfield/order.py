@@ -60,6 +60,10 @@ class StateSpaceReport:
     violations: tuple
 
 
+#: the report of every valid state, shared since it is frozen
+_VALID = StateSpaceReport(True, ())
+
+
 @dataclass(frozen=True)
 class LeqReport:
     """Outcome of an order comparison.
@@ -155,13 +159,14 @@ def state_space_report(state: StateLike, tol: float = OMEGA_TOL) -> StateSpaceRe
     _check_tol(tol)
     h = _as_h(state)
     if _margins(h) >= -tol:
-        return StateSpaceReport(True, ())
+        return _VALID
     masks = [("non-finite", ~np.isfinite(h))]
     masks += [(name, slack < -tol) for name, slack in _slacks(h)]
+    # cells as Python ints: numpy rows pay for int64 arithmetic and formatting
     violations = tuple(
         f"{name} at ({l + 1}, {i + 1})"
         for name, bad in masks
-        for l, i in np.argwhere(bad)
+        for l, i in np.argwhere(bad).tolist()
     )
     return StateSpaceReport(False, violations)
 

@@ -44,6 +44,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dist import _float_sum
 from .mfode import PolicyModel, _set_integer
 from .order import StateLike, _as_h, _tail_sums
 
@@ -197,7 +198,7 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
         events += 1
         if not events & 0xFFFF:
             # kill float drift in the incrementally maintained total
-            svc_total = sum(len(members[j]) * mu[j] for j in range(1, n + 1))
+            svc_total = _float_sum(len(members[j]) * mu[j] for j in range(1, n + 1))
         x = u() * total
         if x < arr_total:
             if x >= lam_total:

@@ -6,6 +6,7 @@ mixture survival, and exact Fraction arithmetic for the partial-fraction
 weights.  Library results must match those, never each other.
 """
 
+import builtins
 import hashlib
 import inspect
 import math
@@ -149,6 +150,19 @@ def test_conversion_is_strictly_in_class(rng):
 def test_conversion_rejects_duplicate_rates():
     with pytest.raises(ValueError, match="distinct"):
         cf.hyperexp_to_coxian(cf.HyperExponential((0.5, 0.5), (1.0, 1.0)))
+
+
+def test_unchecked_conversion_equals_the_checked_coxian(rng):
+    # hyperexp_to_coxian skips CoxianDistribution.__post_init__; a field or
+    # normalization the class gains later must not slip past that build
+    for k in (1, 2, 3, 4) * 50:
+        hyper = random_hyperexp(rng, max_branches=k)
+        cox = cf.hyperexp_to_coxian(hyper)
+        checked = cf.CoxianDistribution(cox.rates, cox.continuations)
+        assert cox == checked and vars(cox) == vars(checked)
+        assert hash(cox) == hash(checked) and repr(cox) == repr(checked)
+        for values in (cox.rates, cox.continuations):
+            assert type(values) is tuple and all(type(v) is float for v in values)
 
 
 def test_mixture_round_trip(rng):
@@ -552,6 +566,27 @@ def digest(records):
         h.update(repr(plain(record)).encode())
         h.update(b";")
     return h.hexdigest()
+
+
+def test_no_float_is_summed_with_the_builtin_sum(monkeypatch, balanced_service):
+    """The builtin ``sum`` compensates float rounding from Python 3.12 on.
+
+    A float sum through it would give other bytes on 3.12 than on 3.11,
+    where the goldens are pinned; the library sums floats left to right.
+    """
+    def int_sum(values, start=0):
+        values = list(values)
+        if any(isinstance(v, float) for v in values):
+            raise AssertionError(f"builtin sum over floats {values}")
+        return builtins.sum(values, start)
+
+    for module in (cf.dist, cf.sim):
+        monkeypatch.setattr(module, "sum", int_sum, raising=False)
+    cox = cf.hyperexp_to_coxian(cf.HyperExponential((0.2, 0.3, 0.5), (4.0, 1.0, 0.25)))
+    assert cf.coxian_to_mixture(cox).is_hyperexponential  # SignedMixture's check
+    model = cf.PolicyModel(kind="jsq", lam=0.9, service=balanced_service, B=6, d=2)
+    est = cf.simulate(cf.SimConfig(model=model, N=10, horizon=4000.0, seed=1, warmup=0.0))
+    assert est.stats.events[0] > 0xFFFF  # past one service-rate resync
 
 
 def test_golden_conversion_class_and_moments():
