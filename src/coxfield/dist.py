@@ -30,16 +30,23 @@ bytes on other interpreters.  ``hyperexp_to_coxian`` builds its result
 without re-running ``CoxianDistribution``'s checks, which could only
 repeat what holds already: its rates come from a checked
 HyperExponential and its loop checks each continuation it makes.
+``fit_hyperexp2`` likewise builds its HyperExponential unchecked and
+checks only what can still fail there: that each rate is a normal,
+finite float, and that the rates are distinct.  The fit is scale-free:
+it is solved at unit mean and its rates divided by m1 at the end.
 
 Distributions are built from Python values; their JSON form is read and
 written by ``coxfield.cli``.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+
+from .order import _check_tol
 
 #: relative gap under which two rates are considered duplicates (rejected
 #: where the partial-fraction algebra needs distinct rates)
@@ -54,6 +61,9 @@ SURVIVAL_FLOOR = 1e-14
 
 #: largest exponent mu_i * gap a phase is propagated over, exp(-1e30) = 0
 EXPONENT_CAP = 1e30
+
+#: smallest normal float; a fitted rate below it has lost precision
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 def _set_fields(dist, other: str) -> tuple:
@@ -332,9 +342,16 @@ def has_decreasing_completion_rates(
         default demands strict decrease, except that ties within 1e-12 are
         reported as a boundary case and accepted with margin 0.  A single
         phase has no pair to compare: it is a member with margin +inf.
+        A NaN ``tol`` is rejected with a ValueError.
     """
-    nu = [m * (1.0 - p) for m, p in zip(cox.rates, cox.continuations)]
-    margin = min((a - b for a, b in zip(nu, nu[1:])), default=math.inf)
+    _check_tol(tol)
+    # one loop over the phases; prev = inf makes the first difference inf
+    margin, prev = math.inf, math.inf
+    for mu, p in zip(cox.rates, cox.continuations):
+        nu = mu * (1.0 - p)
+        if prev - nu < margin:
+            margin = prev - nu
+        prev = nu
     boundary = -BOUNDARY_TOL <= margin <= 0.0
     is_member = margin > -tol or boundary
     return CompletionRateCheck(is_member, 0.0 if boundary else margin, boundary)
@@ -417,7 +434,9 @@ def fit_hyperexp2(target: MomentTriple) -> HyperExponential:
     n3 > 1.5 * n2 (an open region); the single point (n2, n3) = (2, 3)
     is the exponential with rate 1/m1.  On the boundary n3 = 1.5 * n2 one
     branch mean collapses to zero, and below it the root product is
-    negative, so no slack on the boundary could admit a fit.
+    negative, so no slack on the boundary could admit a fit.  The fit is
+    solved at unit mean and each rate divided by m1, so any m1 gives the
+    unit-mean weights and rates scaled by 1/m1.
 
     Parameters
     ----------
@@ -427,12 +446,13 @@ def fit_hyperexp2(target: MomentTriple) -> HyperExponential:
     Raises
     ------
     ValueError
-        If the target lies outside the feasible region or the solve
-        degenerates on its boundary.
+        If the target lies outside the feasible region, the solve
+        degenerates on its boundary, or a rate overflows or falls below
+        the normal floats once divided by m1.
     """
-    m1, n2, n3 = target.m1, target.n2, target.n3
+    m1, n2, n3 = float(target.m1), float(target.n2), float(target.n3)
     if abs(n2 - 2.0) <= 1e-12 and abs(n3 - 3.0) <= 1e-12:
-        return HyperExponential((1.0,), (1.0 / m1,))
+        return _fitted((1.0,), (1.0,), m1)
     if n2 <= 2.0:
         raise ValueError(
             f"second normalized moment must exceed 2, got n2={n2!r}"
@@ -444,17 +464,19 @@ def fit_hyperexp2(target: MomentTriple) -> HyperExponential:
         )
 
     # Branch means are the atoms of a two-point law whose power moments
-    # are m_j / j!.  Their sum a and (negated) product b reduce to the
-    # expressions below in u = n3 - 3 and v = n2 - 2, direct input
-    # subtractions that avoid the cancellation of the generic moment route
-    # near the exponential point (2n3 - 3n2 = 2u - 3v).  The discriminant
-    # a^2 + 4b is written as a sum of nonnegative terms, since forming it
-    # as a difference amplifies the rounding of b near a rate tie; the
-    # small root comes from the root product rather than a - sqrt(disc).
+    # are m_j / j!, solved here at unit mean: the fit is scale-free, and
+    # m1 only divides the rates at the end, so m1^2 is never formed.  The
+    # atoms' sum a and (negated) product b reduce to the expressions below
+    # in u = n3 - 3 and v = n2 - 2, direct input subtractions that avoid
+    # the cancellation of the generic moment route near the exponential
+    # point (2n3 - 3n2 = 2u - 3v).  The discriminant a^2 + 4b is written
+    # as a sum of nonnegative terms, since forming it as a difference
+    # amplifies the rounding of b near a rate tie; the small root comes
+    # from the root product rather than a - sqrt(disc).
     u, v = n3 - 3.0, n2 - 2.0
-    a = m1 * n2 * u / (3.0 * v)
-    b = -(m1 * m1) * n2 * (2.0 * u - 3.0 * v) / (6.0 * v)
-    disc = (m1 * m1) * n2 * (2.0 * (u - 3.0 * v) ** 2 + v * u * u) / (9.0 * v * v)
+    a = n2 * u / (3.0 * v)
+    b = -n2 * (2.0 * u - 3.0 * v) / (6.0 * v)
+    disc = n2 * (2.0 * (u - 3.0 * v) ** 2 + v * u * u) / (9.0 * v * v)
     if disc <= 0.0:
         raise ValueError(
             f"target {target} has no real two-branch solution"
@@ -466,10 +488,31 @@ def fit_hyperexp2(target: MomentTriple) -> HyperExponential:
             f"target {target} degenerates to a zero-mean branch; "
             "it sits on the feasibility boundary"
         )
-    w1 = (m1 - x2) / (x1 - x2)
+    w1 = (1.0 - x2) / (x1 - x2)
     if not 0.0 < w1 < 1.0:
         raise ValueError(f"target {target} needs a weight outside (0, 1)")
-    return HyperExponential((w1, 1.0 - w1), (1.0 / x1, 1.0 / x2))
+    return _fitted((w1, 1.0 - w1), (x1, x2), m1)
+
+
+def _fitted(weights: tuple, means: tuple, m1: float) -> HyperExponential:
+    """The fit with unit-mean branch means ``means`` scaled to mean ``m1``.
+
+    Built without re-running ``HyperExponential``'s checks.  The weights
+    pass them already: they are 1, or w1 and 1 - w1 with w1 checked in
+    (0, 1).  What can still fail is checked here: a rate (1 / x) / m1 that
+    overflows, or underflows below the normal floats, and a duplicate rate.
+    """
+    rates = tuple([1.0 / x / m1 for x in means])
+    for r in rates:
+        if not _SMALLEST_NORMAL <= r < math.inf:
+            raise ValueError(
+                f"fitted rates {rates} overflow or underflow at mean m1={m1!r}"
+            )
+    _reject_duplicate_rates(rates)
+    hyper = object.__new__(HyperExponential)
+    object.__setattr__(hyper, "weights", weights)
+    object.__setattr__(hyper, "rates", rates)
+    return hyper
 
 
 # ---------------------------------------------------------------------------

@@ -162,13 +162,19 @@ def state_space_report(state: StateLike, tol: float = OMEGA_TOL) -> StateSpaceRe
         return _VALID
     masks = [("non-finite", ~np.isfinite(h))]
     masks += [(name, slack < -tol) for name, slack in _slacks(h)]
-    # cells as Python ints: numpy rows pay for int64 arithmetic and formatting
-    violations = tuple(
-        f"{name} at ({l + 1}, {i + 1})"
-        for name, bad in masks
-        for l, i in np.argwhere(bad).tolist()
-    )
-    return StateSpaceReport(False, violations)
+    # every flagged cell in one pass, as a flat index into the masks laid
+    # end to end (family, then row-major), turned back into a family and a
+    # cell in Python ints; an empty mask (B = 1 or n = 1) owns no index
+    flagged = np.concatenate([bad.ravel() for _, bad in masks]).nonzero()[0].tolist()
+    violations, family, end = [], -1, 0
+    for flat in flagged:
+        while flat >= end:  # past this family's cells: on to the next mask
+            family += 1
+            name, bad = masks[family]
+            start, end = end, end + bad.size
+        l, i = divmod(flat - start, bad.shape[1])
+        violations.append(f"{name} at ({l + 1}, {i + 1})")
+    return StateSpaceReport(False, tuple(violations))
 
 
 def random_state(B: int, n: int, rng: np.random.Generator) -> MeanFieldState:

@@ -300,6 +300,15 @@ def test_membership_boundary_and_rejection():
     )
 
 
+def test_class_check_rejects_a_nan_tol(balanced_service):
+    # a NaN tol failed every comparison: the README service, a clear member
+    # with margin 2/3, was reported as a non-member
+    with pytest.raises(ValueError, match="tol must be a number, got nan"):
+        cf.has_decreasing_completion_rates(balanced_service, tol=math.nan)
+    check = cf.has_decreasing_completion_rates(balanced_service, tol=-0.5)
+    assert check.is_member and check.margin == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+
 def test_remaining_times_increase(rng):
     for _ in range(200):
         cox = random_coxian_decreasing(rng)
@@ -422,6 +431,66 @@ def test_fit_rejects_outside_region():
     for n2, n3 in ((2.5, 3.6), (1.9, 6.0), (3.0, 4.5), (2.5, 3.75)):
         with pytest.raises(ValueError):
             cf.fit_hyperexp2(cf.MomentTriple(1.0, n2, n3))
+
+
+def test_fit_is_scale_free():
+    """The fit at mean m1 is the unit-mean fit with every rate divided by m1.
+
+    m1 squared once overflowed from m1 = 1.3e154 on and went subnormal
+    near 1e-160, which rejected feasible targets or skewed the fit.
+    """
+    for n2, n3 in ((3.0, 6.0), (2.0, 3.0)):
+        unit = cf.fit_hyperexp2(cf.MomentTriple(1.0, n2, n3))
+        for k in range(-300, 301):
+            m1 = 10.0 ** k
+            fit = cf.fit_hyperexp2(cf.MomentTriple(m1, n2, n3))
+            assert fit.weights == unit.weights
+            assert fit.rates == tuple(r / m1 for r in unit.rates)
+    unit = cf.fit_hyperexp2(cf.MomentTriple(1.0, 3.0, 6.0))
+    for m1 in (1.3e154, 1e-160, 1e-170):
+        fit = cf.fit_hyperexp2(cf.MomentTriple(m1, 3.0, 6.0))
+        assert fit.weights == unit.weights
+        assert fit.rates == tuple(r / m1 for r in unit.rates)
+
+
+@pytest.mark.parametrize("m1, n2, n3", [
+    (5e-324, 3.0, 6.0), (1e-308, 2.5, 4.2), (1e308, 3.0, 6.0),  # two branches
+    (5e-324, 2.0, 3.0), (1e308, 2.0, 3.0),  # the exponential point
+])
+def test_fit_rejects_rates_that_overflow_or_underflow(m1, n2, n3):
+    with pytest.raises(ValueError, match=r"fitted rates \(.*\) overflow or underflow"):
+        cf.fit_hyperexp2(cf.MomentTriple(m1, n2, n3))
+
+
+def test_unchecked_fit_equals_the_checked_hyperexponential(rng):
+    # fit_hyperexp2 skips HyperExponential.__post_init__; a field or
+    # normalization the class gains later must not slip past that build
+    targets = [cf.MomentTriple(1.0, 2.0, 3.0), cf.MomentTriple(3.0, 2.5, 4.2),
+               cf.MomentTriple(np.float64(2.0), np.float64(3.0), np.float64(6.0))]
+    for _ in range(300):
+        hyper = random_hyperexp(rng, max_branches=2)
+        tri = cf.normalized_moments(hyper)
+        m1 = 10.0 ** rng.uniform(-300.0, 300.0)
+        targets += [tri, cf.MomentTriple(m1, tri.n2, tri.n3)]
+    for gap in (1e-2, 1e-4, 1e-6, 1e-8):  # near rate ties
+        for w, mu in ((0.1, 0.3), (0.5, 1.0), (0.9, 40.0)):
+            hyper = cf.HyperExponential((w, 1.0 - w), (mu * (1.0 + gap), mu))
+            targets.append(cf.normalized_moments(hyper))
+    for target in targets:
+        fit = cf.fit_hyperexp2(target)
+        checked = cf.HyperExponential(fit.weights, fit.rates)
+        assert fit == checked and vars(fit) == vars(checked)
+        assert hash(fit) == hash(checked) and repr(fit) == repr(checked)
+        for values in (fit.weights, fit.rates):
+            assert type(values) is tuple and all(type(v) is float for v in values)
+    # near-tie targets off the exponential point are still rejected
+    for n2, n3 in ((2.0 + 1e-14, 3.0 + 1.5e-8), (2.0 + 1.01e-12, 3.0 + 1.515e-6),
+                   (2.0 + 1e-13, 3.0 + 1.5015e-10), (2.0 + 1e-12, 3.0 + 1.5e-12)):
+        with pytest.raises(ValueError):
+            cf.fit_hyperexp2(cf.MomentTriple(1.0, n2, n3))
+    # the unchecked build keeps the duplicate-rate check of the class
+    with pytest.raises(ValueError, match="distinct"):
+        cf.dist._fitted((0.5, 0.5), (1.0, 1.0 + 1e-12), 1.0)
 
 
 def test_sampled_members_lie_in_moment_region(rng):
@@ -621,6 +690,38 @@ def test_golden_conversion_class_and_moments():
         records.append((tri.m1, tri.n2, tri.n3))
     assert digest(records) == (
         "17bac2e571c66122d4de25677db7d34e97f7021a33226e93377e3f0c97cd6bd6"
+    )
+
+
+def test_golden_fit():
+    """Two-branch fits, and which targets are rejected, hash to a pinned SHA-256.
+
+    Moments of seeded two-branch hyperexponentials at means from 1e-300 to
+    1e300, seeded targets across and beyond the feasible region, the
+    exponential point and targets next to it.
+    """
+    rng = np.random.default_rng(3131)
+    targets = []
+    for _ in range(300):
+        hyper = random_hyperexp(rng, max_branches=2)
+        tri = cf.normalized_moments(hyper)
+        targets += [tri, cf.MomentTriple(10.0 ** rng.uniform(-300.0, 300.0), tri.n2, tri.n3)]
+    for _ in range(300):
+        n2 = float(rng.uniform(1.5, 30.0))
+        targets.append(cf.MomentTriple(float(rng.exponential()), n2, n2 * rng.uniform(1.0, 3.0)))
+    for v in (0.0, 1e-13, 1e-12, 1e-9, 1e-6):
+        for u in (0.0, 1.5 * v, 3.0 * v, 1e-12, 1e-6):
+            targets.append(cf.MomentTriple(1.0, 2.0 + v, 3.0 + u))
+    records = []
+    for target in targets:
+        try:
+            fit = cf.fit_hyperexp2(target)
+        except ValueError:
+            records.append("rejected")
+        else:
+            records.append((fit.weights, fit.rates))
+    assert digest(records) == (
+        "6509b7486afc38b54998299dd4fdf9ebc9693da8992ff9eed7f63a353a544eb9"
     )
 
 

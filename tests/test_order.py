@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import coxfield as cf
 from coxfield.cli import SchemaError, _leq_enumerate, state_from_dict, state_to_dict
 from coxfield.order import (
-    ORDER_TOL, _as_h, _cell_diffs, _leq_arrays, _phase_diffs, _tail_sums,
+    ORDER_TOL, _as_h, _cell_diffs, _leq_arrays, _phase_diffs, _slacks, _tail_sums,
 )
 
 
@@ -65,6 +65,30 @@ def test_violations_are_named():
     bad = np.array([[0.9, 0.85], [0.8, 0.5]])
     report = cf.state_space_report(bad)
     assert any("supermodularity at (1, 1)" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("B, n", [(1, 1), (1, 4), (6, 1), (40, 4)])
+def test_violations_match_a_per_family_reference(B, n, rng):
+    """Violations list each family's failed cells in row-major order.
+
+    The reference takes one ``np.argwhere`` per family mask; the states
+    fail several families at once, and most hold a non-finite cell.
+    """
+    for k in range(30):
+        h = cf.random_state(B, n, rng).h
+        for _ in range(int(rng.integers(1, 4))):
+            h[rng.integers(B), rng.integers(n)] += rng.choice([0.3, -0.2, 0.8])
+        if k % 4:
+            h[rng.integers(B), rng.integers(n)] = (np.nan, np.inf, -np.inf)[k % 4 - 1]
+        for tol in (0.0, 1e-12, 0.1):
+            with np.errstate(invalid="ignore"):
+                report = cf.state_space_report(h, tol)
+                masks = [("non-finite", ~np.isfinite(h))]
+                masks += [(name, slack < -tol) for name, slack in _slacks(h)]
+            want = tuple(f"{name} at ({l + 1}, {i + 1})"
+                         for name, bad in masks for l, i in np.argwhere(bad))
+            assert report.violations == want
+            assert report.ok == (want == ())
 
 
 def test_occupancy_round_trip(rng):
