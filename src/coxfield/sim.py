@@ -23,10 +23,22 @@ byte, and a pullpush local arrival is K = d = 1), and at a nonzero pull
 rate a pull moves one waiting job to the idle server that probed.  All
 of them end in one block that places a job on each chosen server.
 
-Uniforms come from the bound ``next`` of a C-level chain over
-``Generator.random`` blocks that double from 1024 to 65536 floats; the
-stream is the same whatever the block sizes, so a replication's bytes
-depend on its seed alone.
+A replication's seed feeds three independent numpy streams, split off
+one ``SeedSequence``: uniforms (``Generator.random``) for the class draw,
+tiebreaks, the prober and its peer; holding times
+(``standard_exponential``), divided by the total rate; and the slots an
+arrival samples (``integers(0, N)``).  Each is read one value at a time
+through the bound ``next`` of a C-level chain over blocks that double
+from 1024 to 16384 draws.  The values do not depend on the block sizes,
+so a replication's bytes depend on its seed alone.  A service event
+takes its server from the class draw itself: with x uniform on
+[0, m_j mu_j) for the m_j servers in phase j, y = x / mu_j picks member
+int(y), and the phase moves on when y - int(y) < p_j.  The residue of y
+is uniform up to float granularity, so p_j is biased by at most about
+ulp(total rate) / mu_j, about 1e-12 at N = 1000.  Earlier versions drew
+everything, holding times and slots included, from one uniform stream
+and picked the server with two more uniforms, so a seed's output
+differs from theirs.
 
 Replications are independent chains with seeds seed, seed+1, ...; the
 pooled estimate and 95% half-widths come from the replication variance.
@@ -39,6 +51,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, repeat
 from typing import Optional
 
@@ -48,10 +61,11 @@ from .dist import _float_sum
 from .mfode import PolicyModel, _set_integer
 from .order import StateLike, _as_h, _tail_sums
 
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 #: Largest accepted model.rate_bound * N * horizon, which bounds the events
-#: of one replication (1e9 is about half an hour at 0.5 M events/s)
+#: of one replication (1e9 is 14-30 minutes at the 0.55-1.2 M events/s of
+#: the three N = 1000 benchmark models, in CPU time on a 2-vCPU x86_64 host)
 MAX_EVENTS = 1e9
 
 
@@ -135,17 +149,20 @@ class StationaryEstimate:
     stats: Optional[SimStats] = field(default=None, compare=False)
 
 
-def _uniforms(seed):
-    """Bound ``next`` over the seed's ``Generator.random`` stream.
+def _block_sizes():
+    """1024, 2048, 4096 and 8192 draws, then _BLOCK = 16384 at a time."""
+    return chain([1 << k for k in range(10, 14)], repeat(_BLOCK))
 
-    The floats are drawn in blocks that double from 1024 up to _BLOCK, so
-    a short replication does not pay for a full block; the stream itself
-    does not depend on the block sizes.
+
+def _stream(draw):
+    """Bound ``next`` over the values of ``draw(size)``, one at a time.
+
+    The values are drawn in blocks of ``_block_sizes()``, so a short
+    replication does not pay for a full block; numpy's streams do not
+    depend on the block sizes.
     """
-    rng = np.random.default_rng(seed)
-    # 1024, 2048, ..., 32768 floats, then _BLOCK = 65536 at a time
-    sizes = chain([1 << k for k in range(10, 16)], repeat(_BLOCK))
-    return chain.from_iterable(map(np.ndarray.tolist, map(rng.random, sizes))).__next__
+    blocks = map(np.ndarray.tolist, map(draw, _block_sizes()))
+    return chain.from_iterable(blocks).__next__
 
 
 def _run_replication(config: SimConfig, seed: int) -> tuple:
@@ -154,8 +171,11 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
     N, B, n = config.N, model.B, model.n
     warmup = config.resolved_warmup
     horizon = config.horizon
-    u = _uniforms(seed)
-    log = math.log
+    streams = np.random.SeedSequence(seed).spawn(3)
+    uniform, holding, slot = map(np.random.default_rng, streams)
+    u = _stream(uniform.random)
+    e = _stream(holding.standard_exponential)
+    v = _stream(partial(slot.integers, 0, N))
 
     mu = [0.0] + [float(r) for r in model.service.rates]
     cont = [0.0] + [float(p) for p in model.service.continuations]
@@ -186,7 +206,7 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
     while True:
         arr_total = lam_total + probe_rate * len(idle)
         total = arr_total + svc_total
-        t += -log(1.0 - u()) / total
+        t += e() / total
         if t >= stop:
             if stop == warmup:
                 occ = [[0.0] * n for _ in range(B)]
@@ -221,18 +241,18 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
                 # rank the d sampled slots by length at arrival, random
                 # tiebreak; the K best get one job each (repeats allowed)
                 jobs += K
-                slots = [(qlen[s], u(), s) for s in (int(u() * N) for _ in choices)]
+                slots = [(qlen[s], u(), s) for s in [v() for _ in choices]]
                 slots.sort()
                 targets = [s for _, _, s in slots[:K]]
             else:
                 # the shortest of d sampled queues, random tiebreak (K = 1);
                 # a pullpush local arrival is the case d = 1
                 jobs += 1
-                best = int(u() * N)
+                best = v()
                 blen = qlen[best]
                 ties = 1
                 for _ in rest:
-                    s = int(u() * N)
+                    s = v()
                     sl = qlen[s]
                     if sl < blen:
                         best, blen, ties = s, sl, 1
@@ -269,12 +289,20 @@ def _run_replication(config: SimConfig, seed: int) -> tuple:
                     break
                 x -= w
                 j += 1
+            # x is uniform on [0, len(bucket) mu_j): its integer part in
+            # units of mu_j picks the server and its residue the next phase
             bucket = members[j]
-            i = bucket[int(u() * len(bucket)) % len(bucket)]
+            y = x / mu[j]
+            k = int(y)
+            if k >= len(bucket):
+                if not bucket:
+                    continue  # only float residue in svc_total lands here
+                k = len(bucket) - 1
+            i = bucket[k]
             li = qlen[i]
             occ[li - 1][j - 1] += t - last[i]
             last[i] = t
-            if u() < cont[j]:
+            if y - k < cont[j]:
                 dest = j + 1
                 svc_total += mu[dest] - mu[j]
             else:
