@@ -322,11 +322,10 @@ def _initial_state(init, model):
             raise SchemaError("model needs a finite B to integrate")
         return (zero_state if init == "empty" else full_state)(model.B, model.n)
     state = state_from_dict(_load_json(init))
-    if (model.B is not None and state.B != model.B) or state.n != model.n:
-        raise SchemaError(
-            f"initial state is {state.B}x{state.n}, model needs "
-            f"{model.B}x{model.n}"
-        )
+    try:
+        _as_h(state, like=(model.B, model.n))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     return state
 
 

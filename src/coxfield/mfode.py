@@ -68,7 +68,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -367,16 +367,8 @@ class _DriftTerms:
 
 
 def _model_states(model: PolicyModel, h: StateLike) -> np.ndarray:
-    """The (..., B, n) array of h; a ValueError names both shapes unless
-    (B, n) is the model's (any B when ``model.B`` is None).
-    """
-    arr = _as_h(h, batch=True)
-    if arr.shape[-1] != model.n or model.B not in (None, arr.shape[-2]):
-        raise ValueError(
-            f"state shape (B, n) = {arr.shape[-2:]} does not match the "
-            f"model's ({model.B}, {model.n})"
-        )
-    return arr
+    """The (..., B, n) array of h, whose (B, n) must be the model's."""
+    return _as_h(h, batch=True, like=(model.B, model.n))
 
 
 def drift(model: PolicyModel, h: StateLike) -> np.ndarray:
@@ -410,7 +402,7 @@ class IntegrationStats:
     wall_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled solution: times (strictly increasing) and state stack.
 
@@ -421,7 +413,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    stats: IntegrationStats = field(compare=False)
+    stats: IntegrationStats
 
     @property
     def final(self) -> np.ndarray:
@@ -712,13 +704,13 @@ class SolverStats:
     wall_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointResult:
     pi: MeanFieldState
     residual: float
     newton_steps: int
     history: tuple
-    stats: SolverStats = field(compare=False)
+    stats: SolverStats
 
     @property
     def B(self) -> int:
@@ -877,7 +869,7 @@ def fixed_point_structure_residual(
     pi: StateLike, service: CoxianDistribution
 ) -> StructureCheck:
     """Check the level-1 phase marginal a fixed point must carry."""
-    h = _as_h(pi)
+    h = _as_h(pi, like=(None, service.n), whose="the service's")
     rates = np.asarray(service.rates, dtype=float)
     conts = np.asarray(service.continuations, dtype=float)
     beta = np.concatenate([[1.0], np.cumprod(conts[:-1])]) / rates
@@ -935,7 +927,7 @@ def lyapunov_values(h: StateLike, service: CoxianDistribution, L: int = 1):
     nonnegative whenever completion rates are nonincreasing.  Over leading
     batch axes of ``h`` both are arrays; for one state, floats.
     """
-    arr = _as_h(h, batch=True)
+    arr = _as_h(h, batch=True, like=(None, service.n), whose="the service's")
     L = _level(L, arr.shape[-2])
     rem = remaining_service_times(service)
     z1 = arr[..., L - 1 :, 0].sum(axis=-1)
@@ -974,7 +966,7 @@ LYAPUNOV_RATE_TOL = 1e-6
 LYAPUNOV_SAMPLES = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LyapunovReport:
     """Per start: worst rate dz1 + dz2, worst gap to the drift's rate, pass."""
 
@@ -1017,7 +1009,7 @@ def lyapunov_report(
     return LyapunovReport(max_rates, gaps, passed, fp, bool(passed.all()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderPreservationReport:
     """Order along the flow, overall and per pair (violation time NaN if none)."""
 

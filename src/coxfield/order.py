@@ -38,9 +38,7 @@ class MeanFieldState:
     h: np.ndarray
 
     def __post_init__(self):
-        h = np.array(self.h, dtype=float, copy=True)
-        if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
-            raise ValueError(f"state must be a (B, n) array, got shape {h.shape}")
+        h = np.array(_as_h(self.h), copy=True)
         if not np.isfinite(h).all():
             raise ValueError("state entries must be finite")
         object.__setattr__(self, "h", h)
@@ -88,14 +86,30 @@ class LeqReport:
 StateLike = Union[MeanFieldState, np.ndarray]
 
 
-def _as_h(state: StateLike, batch: bool = False) -> np.ndarray:
-    """The (B, n) array of a state; ``batch`` also admits stacks of them."""
+def _as_h(
+    state: StateLike, batch: bool = False, like=None, whose: str = "the model's"
+) -> np.ndarray:
+    """The (B, n) array of a state; ``batch`` also admits stacks of them.
+
+    The one reader of a state argument: ``like`` is the (B, n) its last two
+    axes must have, B None when free, and a mismatch names both shapes.
+    """
     if isinstance(state, MeanFieldState):
-        return state.h
-    h = np.asarray(state, dtype=float)
-    if h.ndim < 2 or (h.ndim > 2 and not batch) or 0 in h.shape[-2:]:
-        shape = "(B, n) array or a stack of them" if batch else "(B, n) array"
-        raise ValueError(f"state must be a {shape}, got shape {h.shape}")
+        h = state.h
+    else:
+        h = np.asarray(state, dtype=float)
+        if h.ndim < 2 or (h.ndim > 2 and not batch) or 0 in h.shape[-2:]:
+            shape = "(B, n) array or a stack of them" if batch else "(B, n) array"
+            raise ValueError(f"state must be a {shape}, got shape {h.shape}")
+    # a matching (B, n) state costs one tuple comparison; a stack or a free
+    # B walks the last two axes
+    if like is not None and h.shape != like:
+        B, n = h.shape[-2:]
+        if like[1] != n or like[0] not in (None, B):
+            raise ValueError(
+                f"shape mismatch: state shape (B, n) = ({B}, {n}) does not "
+                f"match {whose} ({like[0]}, {like[1]})"
+            )
     return h
 
 
@@ -280,9 +294,8 @@ def leq(h: StateLike, other: StateLike, tol: float = ORDER_TOL) -> bool:
     the componentwise comparison.
     """
     _check_tol(tol)
-    a, b = _as_h(h), _as_h(other)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    a = _as_h(h)
+    b = _as_h(other, like=a.shape, whose="the other state's")
     ok, _, _ = _leq_arrays(a, b, tol)
     return bool(ok)
 
@@ -297,9 +310,8 @@ def leq_report(h: StateLike, other: StateLike, tol: float = ORDER_TOL) -> LeqRep
     ``leq``'s one-track DP value since rounding is monotone.
     """
     _check_tol(tol)
-    a, b = _as_h(h), _as_h(other)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    a = _as_h(h)
+    b = _as_h(other, like=a.shape, whose="the other state's")
     B, n = a.shape
     comp_ok = bool((b >= a - tol).all())
     d = (_phase_diffs(b) - _phase_diffs(a)).T.tolist()
@@ -354,9 +366,8 @@ def upper_envelope(h: StateLike, pi: StateLike):
     A stack of states ``h`` gives the (..., B, n) stack of their bounds
     with the one state ``pi``; a single state gives a MeanFieldState.
     """
-    a, b = _as_h(h, batch=True), _as_h(pi)
-    if a.shape[-2:] != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    b = _as_h(pi)
+    a = _as_h(h, batch=True, like=b.shape, whose="the other state's")
     col = np.maximum(a[..., :, 0], b[:, 0])
     env = np.repeat(col[..., None], b.shape[1], axis=-1)
     return MeanFieldState(env) if env.ndim == 2 else env

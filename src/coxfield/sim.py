@@ -35,10 +35,7 @@ takes its server from the class draw itself: with x uniform on
 [0, m_j mu_j) for the m_j servers in phase j, y = x / mu_j picks member
 int(y), and the phase moves on when y - int(y) < p_j.  The residue of y
 is uniform up to float granularity, so p_j is biased by at most about
-ulp(total rate) / mu_j, about 1e-12 at N = 1000.  Earlier versions drew
-everything, holding times and slots included, from one uniform stream
-and picked the server with two more uniforms, so a seed's output
-differs from theirs.
+ulp(total rate) / mu_j, about 1e-12 at N = 1000.
 
 Replications are independent chains with seeds seed, seed+1, ...; the
 pooled estimate and 95% half-widths come from the replication variance.
@@ -50,7 +47,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from typing import Optional
@@ -130,14 +127,14 @@ class SimStats:
     wall_s: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryEstimate:
     """Pooled time-averaged tail fractions with 95% half-widths.
 
     ``half_width`` is zero everywhere for a single replication (no
     variance information); ``per_replication`` keeps the individual
-    averages for custom pooling.  ``stats`` (excluded from equality)
-    records the work of each replication.
+    averages for custom pooling.  ``stats`` records the work of each
+    replication.
     """
 
     h_bar: np.ndarray
@@ -146,7 +143,7 @@ class StationaryEstimate:
     replications: int
     per_replication: np.ndarray
     drop_fraction: float
-    stats: Optional[SimStats] = field(default=None, compare=False)
+    stats: Optional[SimStats] = None
 
 
 def _block_sizes():
@@ -439,11 +436,7 @@ def compare_to_fixed_point(
     An entry is counted when |h_bar - pi| exceeds 3 half-widths plus
     RESIDUAL_ALLOWANCE.
     """
-    target = _as_h(pi)
-    if target.shape != estimate.h_bar.shape:
-        raise ValueError(
-            f"shape mismatch {target.shape} vs {estimate.h_bar.shape}"
-        )
+    target = _as_h(pi, like=estimate.h_bar.shape, whose="the estimate's")
     gap = np.abs(estimate.h_bar - target)
     excess = gap > 3.0 * estimate.half_width + RESIDUAL_ALLOWANCE
     return FixedPointComparison(

@@ -890,8 +890,48 @@ def test_states_of_another_shape_are_rejected(balanced_service):
     for call, shapes in calls:
         with pytest.raises(ValueError, match=shape.format(*shapes)):
             call()
+    # every other entry that takes a state reads it the same way, against
+    # the service's n, the other state's (B, n) or the estimate's
+    other = ("shape mismatch: state shape \\(B, n\\) = \\({}, {}\\) "
+             "does not match {} \\({}, {}\\)")
+    h = np.zeros((10, 2))
+    estimate = cf.StationaryEstimate(h, h, 10, 1, h[None], 0.0)
+    by_service = ("the service's", (None, 2), (3, 1), (3, 3))
+    by_state = ("the other state's", (10, 2), (4, 2), (10, 3))
+    calls = [
+        (lambda x: cf.fixed_point_structure_residual(x, balanced_service), by_service),
+        (lambda x: cf.lyapunov_values(x, balanced_service), by_service),
+        (lambda x: cf.lyapunov_values(np.stack([x, x]), balanced_service), by_service),
+        (lambda x: cf.leq(h, x), by_state),
+        (lambda x: cf.leq_report(h, x), by_state),
+        (lambda x: cf.upper_envelope(x, h), by_state),
+        (lambda x: cf.upper_envelope(np.stack([x, x]), h), by_state),
+        (lambda x: cf.compare_to_fixed_point(estimate, x), ("the estimate's",) + by_state[1:]),
+    ]
+    for call, (whose, want, *wrong) in calls:
+        for B, n in wrong:
+            with pytest.raises(ValueError, match=other.format(B, n, whose, *want)):
+                call(np.zeros((B, n)))
     # B is free when the model has none
     assert drift(auto, np.zeros((6, 2))).shape == (6, 2)
+
+
+def test_results_that_hold_arrays_compare_by_identity(balanced_service):
+    # == used to compare their arrays and raise, and two equal solves
+    # compared unequal through their states, which compare by identity
+    model = cf.PolicyModel(kind="jsq", lam=0.75, service=balanced_service, B=5, d=2)
+    lo, hi = cf.zero_state(5, 2), cf.full_state(5, 2)
+    builds = [
+        lambda: cf.integrate(model, lo, 1.0),
+        lambda: cf.fixed_point(model),
+        lambda: cf.lyapunov_report(model, hi.h[None], 1.0),
+        lambda: cf.monotonicity_report(model, lo, hi, 1.0),
+        lambda: cf.StationaryEstimate(hi.h, lo.h, 10, 1, hi.h[None], 0.0),
+    ]
+    for build in builds:
+        t, t2 = build(), build()
+        assert t == t and hash(t) == hash(t)
+        assert (t == t2) is False and t != t2
 
 
 @pytest.mark.parametrize("L", [0, -2, 6, math.nan, math.inf, 2.5, None, "2"])
