@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .dist import (
     MomentTriple,
+    _as_coxian,
     cdf,
     coxian_to_mixture,
     fit_hyperexp2,
@@ -256,7 +257,7 @@ def _write_manifest(args, inputs, outputs, started, error=None):
 def _cmd_convert(args):
     data = _load_json(args.input)
     dist = distribution_from_dict(data)
-    cox = dist if isinstance(dist, CoxianDistribution) else hyperexp_to_coxian(dist)
+    cox = _as_coxian(dist)
     check = has_decreasing_completion_rates(cox)
     mix = coxian_to_mixture(cox)
     m1, m2, m3 = raw_moments(dist, 3)

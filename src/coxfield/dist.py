@@ -14,13 +14,21 @@ Survival, density and hazard come from the phase mass a(t) = alpha
 expm(S t), with alpha the initial phase law and S the upper-bidiagonal
 phase generator.  Each call evaluates one distribution: its phase mass is
 propagated exactly between the sorted evaluation times by matrix
-exponentials of S times each distinct gap (scipy's scaling and
-squaring, Al-Mohy & Higham 2009), so there is no step size to choose and
-no truncation error to bound; survival is the total mass and density the
-completion flow a(t) nu.  Row i of S is scaled by span_i = min(gap, 1e30 /
-mu_i) and column i of the step by span_i / gap: a capped phase keeps none
-of its own mass and carries its inflow's balance mass at mu_i, so fast
-phases and huge or infinite times stay finite (expm fails near 1e37).
+exponentials of S times each distinct gap, so there is no step size to
+choose and no truncation error to bound; survival is the total mass and
+density the completion flow a(t) nu.  The exponentials are one numpy
+scaling and squaring (Padé degree 3 to 13) over all the call's gaps;
+S is bidiagonal, so after every squaring the diagonal and superdiagonal
+are set to their exact values (Al-Mohy & Higham 2009), and with n <= 2
+phases those two bands are the whole exponential.  Row i of S is scaled
+by span_i = min(gap, 1e30 / mu_i) and column i of the step by
+span_i / gap: a capped phase keeps none of its own mass and carries its
+inflow's balance mass at mu_i, so fast phases and huge or infinite times
+stay finite (mu_i times a huge gap overflows, and an infinite gap times
+the zeros of S is NaN).
+
+Every function that reads a service's phases takes either
+representation: ``_as_coxian`` converts a HyperExponential at its entry.
 
 The per-distribution algebra (conversion, class check, moments) runs on
 plain Python floats, since a distribution has a handful of phases.  Its
@@ -130,8 +138,12 @@ class CoxianDistribution:
         return np.asarray(self.rates) * (1.0 - np.asarray(self.continuations))
 
     def generator(self) -> np.ndarray:
-        """Upper-bidiagonal phase generator S (absorption excluded)."""
-        return _phase_generator(self.rates, self.continuations)
+        """Upper-bidiagonal phase generator S (absorption excluded).
+
+        -mu_i on the diagonal, mu_i p_i above it.
+        """
+        rates = np.asarray(self.rates)
+        return np.diag(-rates) + np.diag((rates * np.asarray(self.continuations))[:-1], 1)
 
 
 @dataclass(frozen=True)
@@ -291,7 +303,23 @@ def hyperexp_to_coxian(hyper: HyperExponential) -> CoxianDistribution:
     return cox
 
 
-def coxian_to_mixture(cox: CoxianDistribution) -> SignedMixture:
+def _as_coxian(dist: Distribution) -> CoxianDistribution:
+    """``dist`` as a Coxian: a HyperExponential converted, a Coxian as it is.
+
+    The entry of every function that reads a service's phases, so each
+    takes either representation.
+    """
+    if isinstance(dist, CoxianDistribution):
+        return dist
+    if isinstance(dist, HyperExponential):
+        return hyperexp_to_coxian(dist)
+    raise TypeError(
+        "a service must be a CoxianDistribution or a HyperExponential, "
+        f"got {type(dist).__name__}"
+    )
+
+
+def coxian_to_mixture(cox: Distribution) -> SignedMixture:
     """Expand a Coxian with distinct rates into a signed exponential mixture.
 
     The weight of rate mu_k collects the partial-fraction residues of every
@@ -303,6 +331,7 @@ def coxian_to_mixture(cox: CoxianDistribution) -> SignedMixture:
     ValueError
         If any two rates coincide within relative 1e-9.
     """
+    cox = _as_coxian(cox)
     _reject_duplicate_rates(cox.rates)
     mu = list(cox.rates)
     p = list(cox.continuations)
@@ -329,14 +358,15 @@ def coxian_to_mixture(cox: CoxianDistribution) -> SignedMixture:
 
 
 def has_decreasing_completion_rates(
-    cox: CoxianDistribution, tol: float = 0.0
+    cox: Distribution, tol: float = 0.0
 ) -> CompletionRateCheck:
     """Check whether completion rates nu_i decrease along phases.
 
     Parameters
     ----------
-    cox : CoxianDistribution
-        Distribution to classify.
+    cox : CoxianDistribution or HyperExponential
+        Distribution to classify; a HyperExponential is classified as its
+        Coxian form, which is always a member.
     tol : float, optional
         Slack: the check passes when every nu_i - nu_{i+1} > -tol.  The
         default demands strict decrease, except that ties within 1e-12 are
@@ -345,6 +375,7 @@ def has_decreasing_completion_rates(
         A NaN ``tol`` is rejected with a ValueError.
     """
     _check_tol(tol)
+    cox = _as_coxian(cox)
     # one loop over the phases; prev = inf makes the first difference inf
     margin, prev = math.inf, math.inf
     for mu, p in zip(cox.rates, cox.continuations):
@@ -357,13 +388,14 @@ def has_decreasing_completion_rates(
     return CompletionRateCheck(is_member, 0.0 if boundary else margin, boundary)
 
 
-def remaining_service_times(cox: CoxianDistribution) -> np.ndarray:
+def remaining_service_times(cox: Distribution) -> np.ndarray:
     """Expected remaining service time R_i seen from each phase i.
 
     R_n = 1/mu_n and R_{i-1} = 1/mu_{i-1} + p_{i-1} R_i.  For unit-mean
     distributions R_1 = 1, and decreasing completion rates make the vector
-    strictly increasing.
+    strictly increasing.  A HyperExponential is read as its Coxian form.
     """
+    cox = _as_coxian(cox)
     return np.array(_neg_generator_solves(cox.rates, cox.continuations, 1)[0])
 
 
@@ -520,15 +552,121 @@ def _fitted(weights: tuple, means: tuple, m1: float) -> HyperExponential:
 # ---------------------------------------------------------------------------
 
 
-def _phase_generator(rates, conts) -> np.ndarray:
-    """Upper-bidiagonal phase generator: -mu_i on the diagonal, mu_i p_i above."""
-    rates = np.asarray(rates)
-    n = len(rates)
-    gen = np.zeros((n, n))
-    diag = np.arange(n)
-    gen[diag, diag] = -rates
-    gen[diag[:-1], diag[1:]] = (rates * np.asarray(conts))[:-1]
-    return gen
+#: Higham's (2005) 1-norm bounds for the degree 3, 5, 7, 9 and 13 Padé
+#: approximants, and their numerator coefficients b_0..b_m
+_PADE = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                            25200.0, 1512.0, 56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
+                           302702400.0, 30270240.0, 2162160.0, 110880.0,
+                           3960.0, 90.0, 1.0)),
+    (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                           7771770303897600.0, 1187353796428800.0,
+                           129060195264000.0, 10559470521600.0,
+                           670442572800.0, 33522128640.0, 1323241920.0,
+                           40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
+
+
+def _exact_bands(diag: np.ndarray, sup: np.ndarray) -> tuple:
+    """exp's exact diagonal and superdiagonal for upper-bidiagonal matrices.
+
+    For A with diagonal ``diag`` and superdiagonal ``sup`` (over any
+    leading axes), exp(A) has diagonal e^{a_i} and superdiagonal
+    b_i exp[a_i, a_{i+1}], the divided difference of exp.  Near-equal a_i
+    take it as e^{(a+c)/2} sinh(d)/d with d = (c - a)/2, others as
+    (e^c - e^a)/(c - a): no cancellation either way (Al-Mohy & Higham
+    2009, Code Fragment 2.1; Higham, Functions of Matrices, (10.42)).
+    """
+    ea = np.exp(diag)
+    lo, hi = diag[..., :-1], diag[..., 1:]
+    half = 0.5 * (hi - lo)
+    near = np.abs(half) < 1.0
+    sinhc = np.sinh(half, out=np.zeros_like(half), where=near)
+    np.divide(sinhc, half, out=sinhc, where=half != 0.0)
+    sinhc[half == 0.0] = 1.0
+    sinhc *= np.exp(0.5 * (lo + hi))
+    apart = ~near
+    sinhc[apart] = (ea[..., 1:][apart] - ea[..., :-1][apart]) / (2.0 * half[apart])
+    return ea, sup * sinhc
+
+
+def _set_bands(stack: np.ndarray, diag, sup) -> np.ndarray:
+    """Write the diagonal and superdiagonal of a (G, n, n) stack; returns it."""
+    idx = np.arange(stack.shape[-1])
+    stack[:, idx, idx] = diag
+    stack[:, idx[:-1], idx[1:]] = sup
+    return stack
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix products of two (G, n, n) stacks, by einsum, not BLAS."""
+    return np.einsum("gij,gjk->gik", x, y)
+
+
+def _solve_upper(tri: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """tri^{-1} rhs for a stack of upper-triangular ``tri``, by back substitution."""
+    out = np.empty_like(rhs)
+    for i in range(tri.shape[-1] - 1, -1, -1):
+        row = rhs[:, i] - np.einsum("gj,gjk->gk", tri[:, i, i + 1:], out[:, i + 1:])
+        out[:, i] = row / tri[:, i, i, None]
+    return out
+
+
+def _bidiagonal_expm(diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """exp of a stack of upper-bidiagonal matrices by scaling and squaring.
+
+    ``diag`` is (G, n) and ``sup`` (G, n - 1).  The Padé degree is the
+    lowest whose bound covers every matrix's 1-norm, else 13, with each
+    matrix halved s times to within the bound; then each matrix is squared
+    its own s times.  After the Padé step and after every squaring the
+    diagonal and superdiagonal are set to their exact values, so those two
+    bands carry no rounding from the squarings, and a stack with n <= 2 or
+    no superdiagonal needs no Padé step at all.  The products and the
+    solve are written out in numpy: on these small matrices BLAS and LAPACK
+    cost no less, and their first calls page in about 0.9 MB of code.
+    """
+    G, n = diag.shape
+    if not sup.any():  # one phase, or a hyperexponential's parallel phases
+        return _set_bands(np.zeros((G, n, n)), np.exp(diag), 0.0)
+    if n == 2:
+        return _set_bands(np.zeros((G, n, n)), *_exact_bands(diag, sup))
+    norms = np.abs(diag)
+    norms[:, 1:] += np.abs(sup)
+    norms = norms.max(axis=1)
+    top = norms.max()
+    for theta, b in _PADE:
+        if top <= theta:
+            break
+    # frexp's exponent e has x < 2**e, so s = max(e, 0) halvings bring the
+    # norm within theta (below degree 13 every s is 0)
+    squarings = np.maximum(np.frexp(norms / theta)[1], 0)
+    scale = np.ldexp(1.0, -squarings)[:, None]
+    A = _set_bands(np.zeros((G, n, n)), diag * scale, sup * scale)
+    # r(A) = (v - A u)^{-1} (v + A u), u = sum_k b_{2k+1} A^{2k} and
+    # v = sum_k b_{2k} A^{2k}
+    powers = np.empty((len(b) // 2 - 1, G, n, n))
+    powers[0] = square = _mul(A, A)
+    for k in range(1, len(powers)):
+        powers[k] = _mul(powers[k - 1], square)
+    u = np.einsum("k,kgij->gij", b[3::2], powers)
+    v = np.einsum("k,kgij->gij", b[2::2], powers)
+    idx = np.arange(n)
+    u[:, idx, idx] += b[1]
+    v[:, idx, idx] += b[0]
+    u = _mul(A, u)
+    # the exact bands of exp(A / 2**k) at every level k = 0..max s
+    levels = np.ldexp(1.0, -np.arange(squarings.max() + 1))[:, None, None]
+    ea, eb = _exact_bands(diag * levels, sup * levels)
+    rows = np.arange(G)
+    out = _set_bands(_solve_upper(v - u, v + u), ea[squarings, rows], eb[squarings, rows])
+    for level in range(squarings.max() - 1, -1, -1):
+        act = squarings > level
+        part = out[act]
+        out[act] = _set_bands(_mul(part, part), ea[level, act], eb[level, act])
+    return out
 
 
 def _phase_grid(dist: Distribution, t):
@@ -537,10 +675,9 @@ def _phase_grid(dist: Distribution, t):
     Returns (survival, density), each of shape (len(t),), or (1,) for a
     scalar.  The phase mass a(t) = alpha expm(S t) moves from one distinct
     time to the next by the exact propagator expm(S gap); one batched
-    ``expm`` covers every distinct gap, and the masses at all times are
-    summed once at the end.
+    scaling and squaring (``_bidiagonal_expm``) covers every distinct gap,
+    and the masses at all times are summed once at the end.
     """
-    from scipy import linalg  # on first use: ``import coxfield`` loads no scipy
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValueError(f"times must be a scalar or 1-D, got shape {ts.shape}")
@@ -556,11 +693,11 @@ def _phase_grid(dist: Distribution, t):
     spans = np.minimum(gaps[:, None], EXPONENT_CAP / np.maximum(rates, slowest))
     capped = spans < gaps[:, None]
     kept = np.divide(spans, gaps[:, None], out=np.ones_like(spans), where=capped)
-    gen = _phase_generator(rates, conts)
-    steps = linalg.expm(gen * spans[..., None]) * kept[:, None, :]
+    steps = _bidiagonal_expm(-rates * spans, (rates * conts)[:-1] * spans[:, :-1])
+    steps *= kept[:, None, :]
     masses = np.empty((len(times), len(rates)))
-    for col, g in enumerate(gap_index):
-        mass = masses[col] = np.einsum("i,ij->j", mass, steps[g])
+    for col, g in enumerate(gap_index):  # np.dot: a third of einsum's call cost
+        mass = masses[col] = np.dot(mass, steps[g])
     surv = masses.sum(axis=1)
     dens = (masses * (rates * (1.0 - conts))).sum(axis=1)
     return surv[at], dens[at]

@@ -76,9 +76,9 @@ import numpy as np
 
 from .dist import (
     CoxianDistribution,
-    HyperExponential,
+    Distribution,
+    _as_coxian,
     has_decreasing_completion_rates,
-    hyperexp_to_coxian,
     moments,
     remaining_service_times,
 )
@@ -189,13 +189,7 @@ class PolicyModel:
             raise ValueError(f"arrival rate must be positive, got {self.lam!r}")
         if self.B is not None:
             _set_integer(self, "B")
-        if isinstance(self.service, HyperExponential):
-            object.__setattr__(self, "service", hyperexp_to_coxian(self.service))
-        elif not isinstance(self.service, CoxianDistribution):
-            raise TypeError(
-                "service must be a CoxianDistribution or a HyperExponential, "
-                f"got {type(self.service).__name__}"
-            )
+        object.__setattr__(self, "service", _as_coxian(self.service))
         m1 = moments(self.service, 1)
         if abs(m1 - 1.0) > _UNIT_MEAN_TOL:
             raise ValueError(f"service must have unit mean, got {m1!r}")
@@ -866,9 +860,13 @@ class StructureCheck:
 
 
 def fixed_point_structure_residual(
-    pi: StateLike, service: CoxianDistribution
+    pi: StateLike, service: Distribution
 ) -> StructureCheck:
-    """Check the level-1 phase marginal a fixed point must carry."""
+    """Check the level-1 phase marginal a fixed point must carry.
+
+    A HyperExponential ``service`` is read as its Coxian form.
+    """
+    service = _as_coxian(service)
     h = _as_h(pi, like=(None, service.n), whose="the service's")
     rates = np.asarray(service.rates, dtype=float)
     conts = np.asarray(service.continuations, dtype=float)
@@ -919,14 +917,16 @@ def _chunks(run, count: int, size: int, members: int, samples: int) -> tuple:
     return tuple(map(np.concatenate, zip(*parts)))
 
 
-def lyapunov_values(h: StateLike, service: CoxianDistribution, L: int = 1):
+def lyapunov_values(h: StateLike, service: Distribution, L: int = 1):
     """The two decreasing functionals: tail mass above L and a phase term.
 
     Returns (sum_{l>=L} h_{l,1}, sum_{i>=2} h_{1,i} (R_i - R_{i-1})) with
     R the expected remaining service times per phase.  Both are
     nonnegative whenever completion rates are nonincreasing.  Over leading
-    batch axes of ``h`` both are arrays; for one state, floats.
+    batch axes of ``h`` both are arrays; for one state, floats.  A
+    HyperExponential ``service`` is read as its Coxian form.
     """
+    service = _as_coxian(service)
     arr = _as_h(h, batch=True, like=(None, service.n), whose="the service's")
     L = _level(L, arr.shape[-2])
     rem = remaining_service_times(service)

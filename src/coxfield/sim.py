@@ -38,7 +38,8 @@ is uniform up to float granularity, so p_j is biased by at most about
 ulp(total rate) / mu_j, about 1e-12 at N = 1000.
 
 Replications are independent chains with seeds seed, seed+1, ...; the
-pooled estimate and 95% half-widths come from the replication variance.
+pooled estimate and 95% half-widths come from the replication variance,
+with the Student-t quantile computed here in plain Python (``_t975``).
 COXFIELD_THREADS caps how many run in parallel (processes, since the
 event loop is pure Python); results are pooled in seed order either way.
 """
@@ -342,6 +343,85 @@ def _timed_replication(task):
     return result + (time.perf_counter() - started,)
 
 
+def _log_gamma_ratio(a: float) -> float:
+    """log(Gamma(a + 1/2) / (Gamma(a) sqrt(a))) for a > 0, to about 1e-16.
+
+    A small number, -1 / (8a) + ...  From a = 15 on it is the asymptotic
+    series sum_k c_k / a^k, c_k = (-1)^(k+1) (B_{k+1}(1/2) - B_{k+1}) /
+    (k (k+1)) (DLMF 5.11.8; the even terms vanish), whose first omitted
+    term is below 1e-17 there; below 15, Gamma(x + 1) = x Gamma(x) shifts
+    a up one step at a time.  Not ``math.lgamma(a + 1/2) - lgamma(a)``:
+    that difference carries the rounding of values of size a log a, about
+    1e-9 at a = 5e5 and 3e-15 at a = 6.5.
+    """
+    total = 0.0
+    while a < 15.0:
+        total += 0.5 * math.log1p(1.0 / a) - math.log1p(0.5 / a)
+        a += 1.0
+    r = 1.0 / (a * a)
+    return total + (-1 / 8 + (1 / 192 + (-1 / 640 + (17 / 14336 + (-341 / 202752
+                    + 2073 / 540672 * r) * r) * r) * r) * r) / a
+
+
+def _beta_fraction(p: float, q: float, x: float) -> float:
+    """The continued fraction of I_x(p, q) = x^p (1-x)^q / (p B(p, q)) * cf.
+
+    Numerical Recipes (6.4.5), evaluated in modified Lentz form until a
+    factor is within rounding of 1.
+    """
+    c, d = 1.0, 1.0 / (1.0 - (p + q) * x / (p + 1.0))
+    frac = d
+    for m in range(1, 10000):
+        num = m * (q - m) * x / ((p + 2 * m - 1) * (p + 2 * m))
+        d = 1.0 / (1.0 + num * d)
+        c = 1.0 + num / c
+        frac *= d * c
+        num = -(p + m) * (p + q + m) * x / ((p + 2 * m) * (p + 2 * m + 1))
+        d = 1.0 / (1.0 + num * d)
+        c = 1.0 + num / c
+        frac *= d * c
+        if abs(d * c - 1.0) <= 2.3e-16:
+            break
+    return frac
+
+
+def _t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with ``df`` >= 1 degrees of freedom.
+
+    Newton's method on the upper tail Q(t) = I_x(df/2, 1/2) / 2, with
+    x = df / (df + t^2) and I the regularized incomplete beta function.
+    Q is convex on t > 0 and the start, the Cornish-Fisher expansion about
+    the normal quantile, lies below the root or within rounding of it, so
+    the steps approach the root from below.  With u = t^2 / df, the
+    continued fraction of I_x(df/2, 1/2) serves for u >= 0.01; nearer
+    x = 1 it loses digits (4e-11 at df = 1e6), and Q is taken as
+    (1 - I_y(1/2, df/2)) / 2 with y = 1 - x.  The logs of x and y are
+    formed from u, not from x.  Accurate to about 1e-14 relative.
+    """
+    a = 0.5 * df
+    # log of 1 / (sqrt(a) B(a, 1/2)) = Gamma(a + 1/2) / (Gamma(a) sqrt(pi a))
+    log_norm = _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
+    z = 1.959963984540054
+    z2 = z * z
+    t = z + z * ((z2 + 1) / 4 + ((5 * z2 + 16) * z2 + 3) / (96 * df)
+                 + (((3 * z2 + 19) * z2 + 17) * z2 - 15) / (384 * df * df)) / df
+    for _ in range(100):
+        u = t * t / df
+        log_x = -math.log1p(u)
+        # x^a y^(1/2) / B(a, 1/2), with y = u / (1 + u)
+        front = math.exp(a * log_x + 0.5 * math.log(a * u / (1.0 + u)) + log_norm)
+        if u >= 0.01:
+            tail = 0.5 * front * _beta_fraction(a, 0.5, 1.0 / (1.0 + u)) / a
+        else:
+            tail = 0.5 - front * _beta_fraction(0.5, a, u / (1.0 + u))
+        density = math.exp(log_norm - 0.5 * math.log(2.0) + (a + 0.5) * log_x)
+        step = (tail - 0.025) / density
+        t += step
+        if abs(step) <= 1e-11 * t:
+            break
+    return t
+
+
 def _pool(config: SimConfig, results: list) -> StationaryEstimate:
     """Pool per-replication results (in seed order) into one estimate."""
     R = len(results)
@@ -349,9 +429,8 @@ def _pool(config: SimConfig, results: list) -> StationaryEstimate:
     per = np.stack([_estimate_from_dwell(config, dwell) for dwell in dwells])
     h_bar = per.mean(axis=0)
     if R > 1:
-        from scipy import special  # on first use: ``import coxfield`` loads no scipy
         spread = per.std(axis=0, ddof=1) / math.sqrt(R)
-        half = float(special.stdtrit(R - 1, 0.975)) * spread
+        half = _t975(R - 1) * spread
     else:
         half = np.zeros_like(h_bar)
     return StationaryEstimate(

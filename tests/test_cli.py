@@ -499,7 +499,7 @@ def test_readme_names_every_option():
 
 
 def test_import_loads_no_cli_and_no_scipy():
-    # scipy loads on the first cdf/pdf/hazard call or pooled replication
+    # the library never imports scipy; see test_library_runs_without_scipy
     code = ("import sys, coxfield; print(sorted(m for m in sys.modules "
             "if m == 'coxfield.cli' or m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(cf.__file__))
@@ -507,6 +507,68 @@ def test_import_loads_no_cli_and_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+#: every library path that once loaded scipy, and the CLI commands over
+#: them; prints a digest of the results and the scipy modules loaded.  With
+#: "block" as its first argument scipy cannot be imported at all.
+_WITHOUT_SCIPY = """
+import hashlib, json, os, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
+import numpy as np
+import coxfield as cf
+from coxfield import cli
+
+out = sys.argv[2]
+h = hashlib.sha256()
+hyper = cf.HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))
+service = cf.hyperexp_to_coxian(hyper)
+four = cf.CoxianDistribution((4.0, 2.0, 1.0, 0.5), (0.5, 0.4, 0.3, 0.0))
+scattered = np.random.default_rng(1).uniform(0.0, 8.0, 37)
+for dist in (hyper, service, four):
+    for ts in (np.linspace(0.0, 10.0, 101), scattered, 2.5):
+        for f in (cf.cdf, cf.pdf, cf.hazard):
+            h.update(np.asarray(f(dist, ts), dtype=float).tobytes())
+model = cf.PolicyModel(kind="jsq", lam=0.7, service=service, B=6, d=2)
+est = cf.replicate(cf.SimConfig(model=model, N=20, horizon=40.0, warmup=5.0,
+                                seed=3, replications=3))
+for arr in (est.h_bar, est.half_width, est.per_replication):
+    h.update(arr.tobytes())
+h.update(cf.fixed_point(model).pi.h.tobytes())
+h.update(cf.integrate(model, np.zeros((6, 2)), 5.0).states.tobytes())
+with open(os.path.join(out, "dist.json"), "w") as fh:
+    json.dump({"kind": "hyperexp", "weights": [0.5, 0.5], "rates": [2.0, 2.0 / 3.0]}, fh)
+with open(os.path.join(out, "sim.json"), "w") as fh:
+    json.dump({"model": {"policy": "jsq", "lambda": 0.7, "d": 2, "B": 6,
+                         "service": {"kind": "coxian", "rates": list(service.rates),
+                                     "continuations": list(service.continuations)}},
+               "N": 20, "horizon": 40.0, "warmup": 5.0, "replications": 3}, fh)
+assert cli.main(["convert", os.path.join(out, "dist.json"), "--out", out]) == 0
+assert cli.main(["simulate", os.path.join(out, "sim.json"), "--out", out]) == 0
+for name in ("convert.json", "simulate.json"):
+    with open(os.path.join(out, name), "rb") as fh:
+        h.update(fh.read())
+print(h.hexdigest(), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_library_runs_without_scipy(tmp_path):
+    # numpy alone runs every path: propagators, pooled replications on two
+    # workers, the solvers and the CLI, to the bytes of an unblocked run
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COXFIELD_THREADS="2")
+    lines = {}
+    for mode in ("block", "free"):
+        out = tmp_path / mode
+        out.mkdir()
+        lines[mode] = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, mode, str(out)], env=env,
+            check=True, capture_output=True, text=True, timeout=300,
+        ).stdout.split(maxsplit=1)
+    assert lines["block"][0] == lines["free"][0]
+    assert lines["block"][1].strip() == "['scipy']"  # the blocking entry alone
+    assert lines["free"][1].strip() == "[]"
 
 
 def test_fixed_point_rejects_absurd_choice_count(tmp_path):

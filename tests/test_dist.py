@@ -277,6 +277,49 @@ def test_capped_phase_fed_by_a_slower_one_keeps_its_density(mu):
         assert f(mid, ts) == pytest.approx(f(ref, ts), rel=1e-12)
 
 
+def bidiagonal(diag, sup):
+    return np.diag(diag) + np.diag(sup, 1)
+
+
+def test_bidiagonal_expm_matches_scipy(rng):
+    # stacks mixing gaps over seven decades, so each matrix takes its own
+    # number of squarings, and stacks small enough for each lower degree
+    for trial in range(300):
+        n, G = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        rates = np.exp(rng.uniform(-4.0, 4.0, n))
+        conts = np.append(rng.uniform(0.0, 0.95, n - 1), 0.0)
+        gaps = np.exp(rng.uniform(-9.0, 5.0, G)) * 10.0 ** -(trial % 4)
+        diag = -rates * gaps[:, None]
+        sup = (rates * conts)[:-1] * gaps[:, None]
+        got = cf.dist._bidiagonal_expm(diag, sup)
+        for g in range(G):
+            want = linalg.expm(bidiagonal(diag[g], sup[g]))
+            assert np.abs(got[g] - want).max() <= 1e-13
+            assert not np.tril(got[g], -1).any()
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.1, 0.5, 1.5, 4.0, 1e2, 1e6])
+def test_bidiagonal_expm_of_equal_rates_is_the_closed_form(scale, rng):
+    # with one rate a, exp(aI + N) = e^a sum_k N^k / k!, N the superdiagonal,
+    # at every Padé degree; scipy's divided difference cancels here
+    n = 5
+    sup = rng.uniform(0.1, 1.0, (3, n - 1)) * scale * np.array([[1.0], [0.5], [0.01]])
+    diag = np.repeat([-scale, -0.5 * scale, -0.01 * scale], n).reshape(3, n)
+    got = cf.dist._bidiagonal_expm(diag, sup)
+    for g in range(3):
+        want = np.zeros((n, n))
+        for i in range(n):
+            term = math.exp(diag[g, 0])
+            for k in range(n - i):
+                want[i, i + k] = term
+                term = term * sup[g, i + k] / (k + 1) if i + k < n - 1 else 0.0
+        # normwise beyond the two bands, which are exact to rounding
+        assert got[g] == pytest.approx(want, rel=1e-13, abs=1e-15)
+        for k in (0, 1):
+            band = np.diagonal(got[g], k)
+            assert band == pytest.approx(np.diagonal(want, k), rel=1e-14, abs=1e-300)
+
+
 @pytest.mark.parametrize("t", [math.nan, [1.0, math.nan], [[1.0, 2.0]]])
 def test_nan_and_multidimensional_times_are_rejected(t):
     with pytest.raises(ValueError, match="times"):
@@ -307,6 +350,24 @@ def test_class_check_rejects_a_nan_tol(balanced_service):
         cf.has_decreasing_completion_rates(balanced_service, tol=math.nan)
     check = cf.has_decreasing_completion_rates(balanced_service, tol=-0.5)
     assert check.is_member and check.margin == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("entry", [
+    cf.has_decreasing_completion_rates,
+    cf.coxian_to_mixture,
+    cf.remaining_service_times,
+])
+def test_entry_reads_a_hyperexponential_as_its_coxian(entry):
+    # each raised AttributeError on a HyperExponential, which has no
+    # continuations; PolicyModel already converted one
+    hyper = cf.HyperExponential((0.2, 0.3, 0.5), (0.25, 4.0, 1.0))
+    got, want = entry(hyper), entry(cf.hyperexp_to_coxian(hyper))
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+    with pytest.raises(TypeError, match="CoxianDistribution or a HyperExponential, got tuple"):
+        entry((1.0,))
 
 
 def test_remaining_times_increase(rng):
@@ -759,5 +820,5 @@ def test_golden_survival_density_hazard():
         for f in (cf.cdf, cf.pdf, cf.hazard):
             h.update(np.asarray(f(dist, ts), dtype=float).tobytes())
     assert h.hexdigest() == (
-        "9317dafc722502ae07d4db48921245bc255f9c4c89eadcb2b42f8b16fa35df89"
+        "317589d192914037d141f5819924ead0d86daf51ee8b9fca6cfaba6e2c19f1af"
     )

@@ -832,6 +832,32 @@ def test_structure_residual(balanced_service, rng):
     assert cf.fixed_point_structure_residual(wrong, balanced_service).residual > 1e-4
 
 
+def hyper_and_pi(balanced_service):
+    """The README service as a HyperExponential, and a fixed point it serves."""
+    hyper = cf.HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))
+    assert cf.hyperexp_to_coxian(hyper) == balanced_service
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=8, d=2)
+    return hyper, cf.fixed_point(model).pi
+
+
+def test_structure_residual_reads_a_hyperexponential(balanced_service):
+    # raised AttributeError: a HyperExponential has no n and no generator
+    hyper, pi = hyper_and_pi(balanced_service)
+    got = cf.fixed_point_structure_residual(pi, hyper)
+    assert got == cf.fixed_point_structure_residual(pi, balanced_service)
+    assert got.residual <= 1e-11
+
+
+def test_lyapunov_values_read_a_hyperexponential(balanced_service):
+    # raised AttributeError: a HyperExponential has no n
+    hyper, pi = hyper_and_pi(balanced_service)
+    stack = np.stack([pi.h, cf.zero_state(8, 2).h])
+    for h in (pi, stack):
+        got = cf.lyapunov_values(h, hyper, L=2)
+        want = cf.lyapunov_values(h, balanced_service, L=2)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_phase_split_weights_sum_to_mean(rng):
     # beta_j = (prod_{s<j} p_s)/mu_j sums to the mean: 1 after normalizing
     cox = random_coxian_decreasing(rng)

@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 import coxfield as cf
 from coxfield import sim
@@ -94,6 +95,27 @@ def test_replicate_pools_and_matches_simulate(balanced_service):
     single = cf.replicate(cf.SimConfig(model=model, N=40, horizon=90.0, seed=2, warmup=15.0))
     assert single.replications == 1
     assert np.all(single.half_width == 0.0)
+
+
+#: relative tolerance of the t quantile against scipy, fixed before it was written
+T_QUANTILE_RTOL = 1e-13
+
+
+def test_t_quantile_matches_scipy():
+    for df in [*range(1, 301), 10**3, 10**4, 10**6]:
+        assert sim._t975(df) == pytest.approx(
+            float(stdtrit(df, 0.975)), rel=T_QUANTILE_RTOL, abs=0.0), df
+
+
+def test_pooled_half_width_is_the_t_quantile_times_the_spread(balanced_service):
+    model = cf.PolicyModel(kind="jsq", lam=0.7, service=balanced_service, B=6, d=2)
+    for R in (2, 5):
+        est = cf.replicate(cf.SimConfig(
+            model=model, N=30, horizon=40.0, seed=4, warmup=5.0, replications=R))
+        spread = est.per_replication.std(axis=0, ddof=1) / math.sqrt(R)
+        want = float(stdtrit(R - 1, 0.975)) * spread
+        assert np.all(est.half_width[:3] > 0)
+        np.testing.assert_allclose(est.half_width, want, rtol=T_QUANTILE_RTOL, atol=0.0)
 
 
 def test_worker_pool_matches_serial(balanced_service, monkeypatch):
